@@ -36,9 +36,17 @@ type hooks struct {
 	invalidations *counters.Counter
 }
 
+// pageSlots is the slot count of one lazily allocated page (256 slots,
+// 6 KB). A page is allocated the first time Access fills a slot on it,
+// so building a machine zeroes only the page table, not 1 MB caches
+// whose lines a sweep point never touches; an absent page holds only
+// invalid slots.
+const pageSlots = 256
+
 // Cache is one processor's data cache.
 type Cache struct {
-	slots []slot
+	pages []*[pageSlots]slot // nil until a slot on the page is filled
+	lines int
 	Stats Stats
 	ctr   hooks
 }
@@ -58,9 +66,7 @@ func (c *Cache) AttachCounters(g *counters.Group) {
 }
 
 // New returns an empty cache with the architectural geometry.
-func New() *Cache {
-	return &Cache{slots: make([]slot, topology.CacheLines)}
-}
+func New() *Cache { return NewWithLines(topology.CacheLines) }
 
 // NewWithLines returns an empty cache with a custom number of line slots
 // (for tests and for scaled-down capacity experiments).
@@ -68,13 +74,40 @@ func NewWithLines(lines int) *Cache {
 	if lines <= 0 {
 		lines = 1
 	}
-	return &Cache{slots: make([]slot, lines)}
+	return &Cache{
+		pages: make([]*[pageSlots]slot, (lines+pageSlots-1)/pageSlots),
+		lines: lines,
+	}
 }
 
 func (c *Cache) index(key topology.LineKey) int {
 	// Direct mapping: line index modulo the slot count. Distinct spaces
 	// are offset so that two objects do not systematically collide.
-	return int((key.Line + uint64(key.Space)*7919) % uint64(len(c.slots)))
+	return int((key.Line + uint64(key.Space)*7919) % uint64(c.lines))
+}
+
+// lookup returns the slot holding the line, or nil when it is not
+// cached (an absent page holds nothing). It never allocates.
+func (c *Cache) lookup(key topology.LineKey) *slot {
+	i := uint(c.index(key))
+	p := c.pages[i/pageSlots]
+	if p == nil {
+		return nil
+	}
+	if s := &p[i%pageSlots]; s.valid && s.key == key {
+		return s
+	}
+	return nil
+}
+
+// fillPage allocates page n on its first fill. Kept out of line so the
+// one allocation of a page's lifetime stays off the Access hot path.
+//
+//go:noinline
+func (c *Cache) fillPage(n uint) *[pageSlots]slot {
+	p := new([pageSlots]slot)
+	c.pages[n] = p
+	return p
 }
 
 // Result describes the outcome of a lookup.
@@ -88,8 +121,15 @@ type Result struct {
 }
 
 // Access touches the line, filling it on a miss. write marks it dirty.
+//
+//simlint:hotpath
 func (c *Cache) Access(key topology.LineKey, write bool) Result {
-	s := &c.slots[c.index(key)]
+	i := uint(c.index(key))
+	p := c.pages[i/pageSlots]
+	if p == nil {
+		p = c.fillPage(i / pageSlots)
+	}
+	s := &p[i%pageSlots]
 	if s.valid && s.key == key {
 		c.Stats.Hits++
 		c.ctr.hits.Inc()
@@ -119,22 +159,24 @@ func (c *Cache) Access(key topology.LineKey, write bool) Result {
 }
 
 // Contains reports whether the line is currently cached.
+//
+//simlint:hotpath
 func (c *Cache) Contains(key topology.LineKey) bool {
-	s := &c.slots[c.index(key)]
-	return s.valid && s.key == key
+	return c.lookup(key) != nil
 }
 
 // Dirty reports whether the line is cached dirty.
 func (c *Cache) Dirty(key topology.LineKey) bool {
-	s := &c.slots[c.index(key)]
-	return s.valid && s.key == key && s.dirty
+	s := c.lookup(key)
+	return s != nil && s.dirty
 }
 
 // Invalidate drops the line (a coherence action from the directory).
 // It reports whether a copy was present and whether it was dirty.
+//
+//simlint:hotpath
 func (c *Cache) Invalidate(key topology.LineKey) (present, dirty bool) {
-	s := &c.slots[c.index(key)]
-	if s.valid && s.key == key {
+	if s := c.lookup(key); s != nil {
 		c.Stats.Invalidations++
 		c.ctr.invalidations.Inc()
 		present, dirty = true, s.dirty
@@ -146,22 +188,10 @@ func (c *Cache) Invalidate(key topology.LineKey) (present, dirty bool) {
 
 // Clean marks a cached line clean (after a writeback / downgrade).
 func (c *Cache) Clean(key topology.LineKey) {
-	s := &c.slots[c.index(key)]
-	if s.valid && s.key == key {
+	if s := c.lookup(key); s != nil {
 		s.dirty = false
 	}
 }
 
-// Flush empties the cache, counting writebacks of dirty lines.
-func (c *Cache) Flush() {
-	for i := range c.slots {
-		if c.slots[i].valid && c.slots[i].dirty {
-			c.Stats.Writebacks++
-			c.ctr.writebacks.Inc()
-		}
-		c.slots[i] = slot{}
-	}
-}
-
 // Lines reports the slot count.
-func (c *Cache) Lines() int { return len(c.slots) }
+func (c *Cache) Lines() int { return c.lines }

@@ -17,6 +17,7 @@ import (
 
 	"spp1000/internal/experiments"
 	"spp1000/internal/faultinject"
+	"spp1000/internal/service"
 	"spp1000/internal/store"
 )
 
@@ -35,39 +36,70 @@ func TestBackendKillMidSweep(t *testing.T) {
 		}
 	}
 	defer release()
-	blockedStub := func(ctx context.Context, spec experiments.Spec) (string, error) {
-		select {
-		case <-gate:
-		case <-ctx.Done():
-			return "", ctx.Err()
+	const seeds = 10
+	// survivorRunning is signalled when a run enters k1's stub. A run
+	// reaches the stub only after its peer fetch returned, so once k1's
+	// single worker (the default Workers=1) is parked here, k1 cannot
+	// peer-probe — and evict — k2 until release.
+	survivorRunning := make(chan struct{}, 1)
+	blockedStub := func(entered chan<- struct{}) service.RunFunc {
+		return func(ctx context.Context, spec experiments.Spec) (string, error) {
+			select {
+			case entered <- struct{}{}:
+			default: // nil channel, or a signal already pending
+			}
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return "", ctx.Err()
+			}
+			return fmt.Sprintf("seed:%d", spec.Options.Seed), nil
 		}
-		return fmt.Sprintf("seed:%d", spec.Options.Seed), nil
 	}
 
 	g, ts := newTestGateway(t, Config{HeartbeatTTL: time.Hour})
-	startBackend(t, g, ts.URL, "k1", blockedStub)
-	k2 := startBackend(t, g, ts.URL, "k2", blockedStub)
+	startBackend(t, g, ts.URL, "k1", blockedStub(survivorRunning))
+	k2 := startBackend(t, g, ts.URL, "k2", blockedStub(nil))
 
-	const seeds = 10
 	ids := make(map[int]string, seeds)
-	victimHadWork := false
+	victimSeed, survivorHadWork := 0, false
 	for seed := 1; seed <= seeds; seed++ {
 		v, resp := gwSubmit(t, ts.URL, seedBody(seed))
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit seed %d: %d", seed, resp.StatusCode)
 		}
 		ids[seed] = v.ID
-		if resp.Header.Get("X-Spp-Backend") == "k2" {
-			victimHadWork = true
+		switch resp.Header.Get("X-Spp-Backend") {
+		case "k1":
+			survivorHadWork = true
+		case "k2":
+			if victimSeed == 0 {
+				victimSeed = seed
+			}
 		}
 	}
-	if !victimHadWork {
+	if victimSeed == 0 {
 		t.Fatal("no key routed to the victim backend; the kill would prove nothing")
 	}
+	if survivorHadWork {
+		select {
+		case <-survivorRunning:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the survivor never started a job")
+		}
+	}
 
-	// Kill k2 with its share of the sweep still queued or running, then
-	// let the survivor's jobs finish.
+	// Kill k2 with its share of the sweep still queued or running. The
+	// first gateway request after the kill is a status forward of a job
+	// homed on k2, issued before any list, metrics scrape or peer probe
+	// could evict k2 — so it provably hits the dead backend and is
+	// retried onto the survivor. Then let the survivor's jobs finish.
 	k2.kill()
+	if resp, err := http.Get(ts.URL + "/v1/jobs/" + ids[victimSeed]); err != nil {
+		t.Fatal(err)
+	} else {
+		resp.Body.Close()
+	}
 	release()
 
 	// Drive every job to done the way sppctl would: poll through the

@@ -143,6 +143,10 @@ var RequiredHotpaths = map[string][]string{
 	// The counters-disabled path: a nil-receiver branch and nothing
 	// else (PR 3's 0-alloc contract).
 	"internal/counters": {"Counter.Inc", "Counter.Add", "Histogram.Observe"},
+	// The per-access cache lookup: page-table index, slot compare and
+	// fill. First-touch page allocation lives in an out-of-line helper
+	// so the steady state stays escape-free.
+	"internal/cache": {"Cache.Access", "Cache.Contains", "Cache.Invalidate"},
 	// The PDES stripe worker body: runs once per partition per window.
 	"internal/parsim": {"Coordinator.runPart"},
 	// The daemon's cache hot path: a hash lookup answering repeat

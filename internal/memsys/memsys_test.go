@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -349,4 +350,30 @@ func TestWriteExclusivityAcrossMachine(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestNewAllocatesLazily bounds what building a 2-hypernode (16 CPU)
+// memory system allocates. The per-CPU caches fill their slot pages on
+// first touch, so construction costs a few page tables rather than 16
+// dense 1 MB-geometry caches; the ceiling sits well under the size of
+// even one dense cache, so a dense allocation creeping back fails here.
+func TestNewAllocatesLazily(t *testing.T) {
+	const ceiling = 256 << 10
+	topo, err := topology.New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ { // least of three: other goroutines only add
+		runtime.ReadMemStats(&before)
+		s := New(topo, topology.DefaultParams(), 0)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(s)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > ceiling {
+		t.Fatalf("memsys.New(2 hypernodes) allocated %d bytes, want <= %d", least, ceiling)
+	}
+	t.Logf("memsys.New(2 hypernodes) allocated %d bytes", least)
 }
