@@ -53,10 +53,11 @@ race:
 
 # One testing.B benchmark per paper table/figure, plus the kernel-level
 # microbenchmarks (event kernel, counters, memory access, cache lookup,
-# machine construction). The parsed ns/op + allocs/op land in
+# machine construction) and the n-body host numerics (CountWorkload),
+# their own line item. The parsed ns/op + allocs/op land in
 # $(BENCH_JSON) so the perf trajectory is tracked across PRs.
 bench:
-	$(GO) test -bench=. -benchmem -run=NONE . ./internal/sim ./internal/counters ./internal/memsys ./internal/cache ./internal/machine | tee bench.txt
+	$(GO) test -bench=. -benchmem -run=NONE . ./internal/sim ./internal/counters ./internal/memsys ./internal/cache ./internal/machine ./internal/apps/nbody | tee bench.txt
 	$(GO) run ./cmd/benchjson < bench.txt > $(BENCH_JSON)
 	@echo "wrote $(BENCH_JSON)"
 

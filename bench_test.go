@@ -36,8 +36,9 @@ func opts(b *testing.B) experiments.Options {
 	}
 	o := experiments.Defaults()
 	// Benchmarks iterate; keep single-iteration cost moderate while
-	// staying at paper problem sizes (except the 2M-particle N-body
-	// count, which is exercised once in TestPaperScaleFig8 / sppbench).
+	// staying at paper problem sizes. The 2M-particle N-body count is
+	// left to the perfbench nbody-2m workload, which checks every pass
+	// of `sppbench -exp fig8` against a recorded stdout digest.
 	o.NBodySizes = []int{32768, 262144}
 	return o
 }

@@ -41,7 +41,7 @@ func TestPlummerProperties(t *testing.T) {
 func TestTreeCountsAndMass(t *testing.T) {
 	b := NewPlummer(2000, 5)
 	tr := Build(b)
-	root := tr.nodes[0]
+	root := tr.node(0)
 	if int(root.count) != b.N() {
 		t.Fatalf("root count = %d, want %d", root.count, b.N())
 	}
@@ -65,8 +65,8 @@ func TestTreeCountsAndMass(t *testing.T) {
 func TestTreeInternalConsistency(t *testing.T) {
 	b := NewPlummer(3000, 11)
 	tr := Build(b)
-	for idx := range tr.nodes {
-		nd := &tr.nodes[idx]
+	for idx := int32(0); idx < int32(tr.NumNodes()); idx++ {
+		nd := tr.node(idx)
 		if nd.body >= 0 {
 			continue
 		}
@@ -74,8 +74,8 @@ func TestTreeInternalConsistency(t *testing.T) {
 		var mass float64
 		for _, c := range nd.children {
 			if c >= 0 {
-				count += tr.nodes[c].count
-				mass += tr.nodes[c].mass
+				count += tr.node(c).count
+				mass += tr.node(c).mass
 			}
 		}
 		if count != nd.count {
@@ -83,6 +83,50 @@ func TestTreeInternalConsistency(t *testing.T) {
 		}
 		if math.Abs(mass-nd.mass) > 1e-9 {
 			t.Fatalf("node %d mass %v != children sum %v", idx, nd.mass, mass)
+		}
+	}
+}
+
+// TestTreeSpansPages builds a tree over several node pages, then walks
+// it from the root, carrying cell centers down exactly as insert does:
+// every created node is reached exactly once, and every leaf's body
+// lies inside its cell.
+func TestTreeSpansPages(t *testing.T) {
+	b := NewPlummer(20000, 17)
+	tr := Build(b)
+	if tr.NumNodes() <= 2*pageNodes {
+		t.Fatalf("%d nodes span fewer than 3 pages of %d", tr.NumNodes(), pageNodes)
+	}
+	seen := make([]bool, tr.NumNodes())
+	var walk func(n int32, cx, cy, cz float64)
+	walk = func(n int32, cx, cy, cz float64) {
+		if seen[n] {
+			t.Fatalf("node %d reached twice", n)
+		}
+		seen[n] = true
+		nd := tr.node(n)
+		if nd.body >= 0 {
+			for _, d := range [3]float64{b.X[nd.body] - cx, b.Y[nd.body] - cy, b.Z[nd.body] - cz} {
+				if math.Abs(d) > nd.half {
+					t.Fatalf("body %d lies outside leaf %d (offset %v, half %v)", nd.body, n, d, nd.half)
+				}
+			}
+			return
+		}
+		for o, c := range nd.children {
+			if c >= 0 {
+				if tr.node(c).half != nd.half/2 {
+					t.Fatalf("node %d half %v, parent half %v", c, tr.node(c).half, nd.half)
+				}
+				x, y, z := childCenter(cx, cy, cz, nd.half, o)
+				walk(c, x, y, z)
+			}
+		}
+	}
+	walk(0, tr.center, tr.center, tr.center)
+	for n, ok := range seen {
+		if !ok {
+			t.Fatalf("node %d of %d is unreachable", n, tr.NumNodes())
 		}
 	}
 }
@@ -140,8 +184,8 @@ func TestCoincidentBodiesHandled(t *testing.T) {
 		M: []float64{0.3, 0.3, 0.4},
 	}
 	tr := Build(b) // must not recurse forever
-	if math.Abs(tr.nodes[0].mass-1.0) > 1e-9 {
-		t.Fatalf("root mass %v with coincident bodies", tr.nodes[0].mass)
+	if math.Abs(tr.node(0).mass-1.0) > 1e-9 {
+		t.Fatalf("root mass %v with coincident bodies", tr.node(0).mass)
 	}
 }
 

@@ -44,10 +44,14 @@ type Workload struct {
 // workload.
 const blocks = 64
 
+// MinBodies is the smallest problem CountWorkload accepts: one particle
+// per microblock.
+const MinBodies = blocks
+
 // CountWorkload builds the problem, then measures per-block interaction
 // counts by traversing a sample of particles from each microblock and
 // scaling (documented sampling: the tree search cost is statistically
-// uniform within a spatial block).
+// uniform within a spatial block). n must be at least MinBodies.
 func CountWorkload(n int, samplePerBlock int, seed uint64) *Workload {
 	b := NewPlummer(n, seed)
 	SortMorton(b)

@@ -7,8 +7,9 @@
 package nbody
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"spp1000/internal/morton"
 	"spp1000/internal/rng"
@@ -92,26 +93,19 @@ func SortMorton(b *Bodies) {
 		qz := uint64((b.Z[i] - min) / span * (grid - 1))
 		recs[i] = rec{key: morton.Encode3(qx, qy, qz), idx: i}
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].key < recs[j].key })
-	permute := func(a []float64) {
-		out := make([]float64, n)
+	slices.SortFunc(recs, func(p, q rec) int { return cmp.Compare(p.key, q.key) })
+	buf := make([]float64, n)
+	for _, a := range [][]float64{b.X, b.Y, b.Z, b.VX, b.VY, b.VZ, b.M} {
 		for i, r := range recs {
-			out[i] = a[r.idx]
+			buf[i] = a[r.idx]
 		}
-		copy(a, out)
+		copy(a, buf)
 	}
-	permute(b.X)
-	permute(b.Y)
-	permute(b.Z)
-	permute(b.VX)
-	permute(b.VY)
-	permute(b.VZ)
-	permute(b.M)
 }
 
-// node is one octree cell.
+// node is one octree cell. Its center is not stored: insert carries
+// each cell's center down from the root, and nothing else needs it.
 type node struct {
-	cx, cy, cz       float64 // cell center
 	half             float64 // half side length
 	mass             float64
 	comX, comY, comZ float64
@@ -120,9 +114,20 @@ type node struct {
 	count            int32    // bodies underneath
 }
 
+// Nodes live in fixed pages of pageNodes. A page is allocated when its
+// first node is created and never moves, so building a tree never
+// copies or re-zeroes the nodes it already holds.
+const (
+	pageShift = 12
+	pageNodes = 1 << pageShift
+	pageMask  = pageNodes - 1
+)
+
 // Tree is a built Barnes–Hut octree.
 type Tree struct {
-	nodes  []node
+	pages  []*[pageNodes]node
+	n      int32   // nodes created
+	center float64 // root cell center, the same on every axis
 	bodies *Bodies
 }
 
@@ -149,43 +154,54 @@ func Build(b *Bodies) *Tree {
 		half = 1
 	}
 	half *= 1.0001 // open the boundary
-	cx := (max + min) / 2
-	t := &Tree{bodies: b}
-	root := t.newNode(cx, cx, cx, half)
+	t := &Tree{center: (max + min) / 2, bodies: b}
+	t.newNode(half, -1, 0) // the root, node 0
 	for i := 0; i < b.N(); i++ {
-		t.insert(root, int32(i))
+		t.insert(int32(i))
 	}
-	t.computeMoments(root)
+	t.computeMoments(0)
 	return t
 }
 
-func (t *Tree) newNode(cx, cy, cz, half float64) int32 {
-	t.nodes = append(t.nodes, node{cx: cx, cy: cy, cz: cz, half: half, body: -1,
-		children: [8]int32{-1, -1, -1, -1, -1, -1, -1, -1}})
-	return int32(len(t.nodes) - 1)
+// node returns node i. The pointer stays valid for the tree's life.
+func (t *Tree) node(i int32) *node { return &t.pages[i>>pageShift][i&pageMask] }
+
+// newNode creates a childless node holding body (-1 for none) and
+// count bodies, and returns its index.
+func (t *Tree) newNode(half float64, body, count int32) int32 {
+	i := t.n
+	if int(i>>pageShift) == len(t.pages) {
+		t.pages = append(t.pages, new([pageNodes]node))
+	}
+	t.n++
+	*t.node(i) = node{half: half, body: body, count: count,
+		children: [8]int32{-1, -1, -1, -1, -1, -1, -1, -1}}
+	return i
 }
 
 // NumNodes reports the node count.
-func (t *Tree) NumNodes() int { return len(t.nodes) }
+func (t *Tree) NumNodes() int { return int(t.n) }
 
-// octant selects the child octant of a point within node n.
-func (t *Tree) octant(n int32, x, y, z float64) int {
+// octant selects the child octant of a point within the cell centered
+// at (cx, cy, cz).
+func octant(cx, cy, cz, x, y, z float64) int {
 	o := 0
-	if x >= t.nodes[n].cx {
+	if x >= cx {
 		o |= 1
 	}
-	if y >= t.nodes[n].cy {
+	if y >= cy {
 		o |= 2
 	}
-	if z >= t.nodes[n].cz {
+	if z >= cz {
 		o |= 4
 	}
 	return o
 }
 
-func (t *Tree) childCenter(n int32, o int) (cx, cy, cz, half float64) {
-	h := t.nodes[n].half / 2
-	cx, cy, cz = t.nodes[n].cx, t.nodes[n].cy, t.nodes[n].cz
+// childCenter is the center of octant o of the cell centered at
+// (cx, cy, cz) with half side half.
+func childCenter(cx, cy, cz, half float64, o int) (float64, float64, float64) {
+	h := half / 2
 	if o&1 != 0 {
 		cx += h
 	} else {
@@ -201,12 +217,17 @@ func (t *Tree) childCenter(n int32, o int) (cx, cy, cz, half float64) {
 	} else {
 		cz -= h
 	}
-	return cx, cy, cz, h
+	return cx, cy, cz
 }
 
-func (t *Tree) insert(n, body int32) {
+// insert adds body to the tree, descending from the root and carrying
+// the current cell's center (cx, cy, cz) along.
+func (t *Tree) insert(body int32) {
+	x, y, z := t.bodies.X[body], t.bodies.Y[body], t.bodies.Z[body]
+	cx, cy, cz := t.center, t.center, t.center
+	n := int32(0)
 	for {
-		nd := &t.nodes[n]
+		nd := t.node(n)
 		nd.count++
 		if nd.count == 1 {
 			// Empty leaf: take the body.
@@ -222,31 +243,23 @@ func (t *Tree) insert(n, body int32) {
 			}
 			old := nd.body
 			nd.body = -1
-			o := t.octant(n, t.bodies.X[old], t.bodies.Y[old], t.bodies.Z[old])
-			cx, cy, cz, h := t.childCenter(n, o)
-			child := t.newNode(cx, cy, cz, h)
-			nd = &t.nodes[n] // newNode may have reallocated
-			nd.children[o] = child
-			t.nodes[child].body = old
-			t.nodes[child].count = 1
+			o := octant(cx, cy, cz, t.bodies.X[old], t.bodies.Y[old], t.bodies.Z[old])
+			nd.children[o] = t.newNode(nd.half/2, old, 1)
 		}
 		// Internal: descend.
-		o := t.octant(n, t.bodies.X[body], t.bodies.Y[body], t.bodies.Z[body])
-		if t.nodes[n].children[o] < 0 {
-			cx, cy, cz, h := t.childCenter(n, o)
-			child := t.newNode(cx, cy, cz, h)
-			t.nodes[n].children[o] = child
-			t.nodes[child].body = body
-			t.nodes[child].count = 1
+		o := octant(cx, cy, cz, x, y, z)
+		if nd.children[o] < 0 {
+			nd.children[o] = t.newNode(nd.half/2, body, 1)
 			return
 		}
-		n = t.nodes[n].children[o]
+		n = nd.children[o]
+		cx, cy, cz = childCenter(cx, cy, cz, nd.half, o)
 	}
 }
 
 // computeMoments fills mass and center-of-mass bottom-up.
 func (t *Tree) computeMoments(n int32) (mass, mx, my, mz float64) {
-	nd := &t.nodes[n]
+	nd := t.node(n)
 	if nd.body >= 0 {
 		b := nd.body
 		m := t.bodies.M[b] * float64(nd.count) // coincident points share
@@ -265,7 +278,6 @@ func (t *Tree) computeMoments(n int32) (mass, mx, my, mz float64) {
 		ty += y
 		tz += z
 	}
-	nd = &t.nodes[n]
 	nd.mass = tm
 	if tm > 0 {
 		nd.comX, nd.comY, nd.comZ = tx/tm, ty/tm, tz/tm
@@ -290,7 +302,7 @@ func (t *Tree) Force(i int, theta, eps float64) (ax, ay, az float64, st ForceSta
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		nd := &t.nodes[n]
+		nd := t.node(n)
 		st.Visited++
 		if nd.count == 0 || nd.mass == 0 {
 			continue

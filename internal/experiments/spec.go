@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strings"
+
+	"spp1000/internal/apps/nbody"
 )
 
 // Spec is one simulation job as the service layer sees it: which
@@ -29,8 +31,9 @@ func DefaultSpec() Spec {
 
 // Normalize validates the spec and returns a cleaned copy: names
 // trimmed and checked against the experiment vocabulary, an empty list
-// rejected. Specs must be normalized before Canonical/Key so that
-// " fig2" and "fig2" address the same cache entry.
+// rejected, and N-body sizes below nbody.MinBodies rejected. Specs
+// must be normalized before Canonical/Key so that " fig2" and "fig2"
+// address the same cache entry.
 func (s Spec) Normalize() (Spec, error) {
 	if len(s.Experiments) == 0 {
 		return Spec{}, fmt.Errorf("spec: no experiments selected")
@@ -43,6 +46,11 @@ func (s Spec) Normalize() (Spec, error) {
 			return Spec{}, fmt.Errorf("spec: unknown experiment %q (have %v and %v)", name, Names, Extra)
 		}
 		out.Experiments[i] = name
+	}
+	for _, n := range s.Options.NBodySizes {
+		if n < nbody.MinBodies {
+			return Spec{}, fmt.Errorf("spec: nBodySizes entry %d is below the minimum of %d particles", n, nbody.MinBodies)
+		}
 	}
 	return out, nil
 }

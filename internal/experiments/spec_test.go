@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"spp1000/internal/apps/nbody"
 )
 
 // TestCanonicalDeterministic is the cache-key correctness property:
@@ -115,6 +117,37 @@ func TestSpecNormalize(t *testing.T) {
 	}
 	if _, err := (Spec{}).Normalize(); err == nil {
 		t.Fatal("empty experiment list should fail Normalize")
+	}
+}
+
+// TestSpecNormalizeNBodySizes: an N-body size below nbody.MinBodies
+// would panic inside nbody.CountWorkload, so Normalize rejects it at
+// the door. The keys of accepted specs are pinned: the check must never
+// move a valid spec's content address.
+func TestSpecNormalizeNBodySizes(t *testing.T) {
+	for _, sizes := range [][]int{{10}, {0}, {-1}, {32768, nbody.MinBodies - 1}} {
+		o := Quick()
+		o.NBodySizes = sizes
+		if _, err := (Spec{Experiments: []string{"fig8"}, Options: o}).Normalize(); err == nil {
+			t.Errorf("nBodySizes %v should fail Normalize", sizes)
+		}
+	}
+	smallest := Quick()
+	smallest.NBodySizes = []int{nbody.MinBodies}
+	for _, c := range []struct {
+		opts Options
+		key  string
+	}{
+		{Quick(), "4630cb61fc53c999d1cd8db15a11603ff3820d37121f0f1b67be3f85cf617038"},
+		{smallest, "7b6dc80e2aa60fc7c43d2924d23862d12e20e232c2724bed7b9c1505bd62fa0a"},
+	} {
+		n, err := Spec{Experiments: []string{"fig8"}, Options: c.opts}.Normalize()
+		if err != nil {
+			t.Fatalf("nBodySizes %v: %v", c.opts.NBodySizes, err)
+		}
+		if n.Key() != c.key {
+			t.Errorf("nBodySizes %v: key %s, want %s", c.opts.NBodySizes, n.Key(), c.key)
+		}
 	}
 }
 

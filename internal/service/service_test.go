@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"spp1000/internal/apps/nbody"
 	"spp1000/internal/experiments"
 )
 
@@ -419,6 +420,33 @@ func TestRealEngineEndToEnd(t *testing.T) {
 	if res != fmt.Sprintf("=== tab1 ===\n%s\n", want) {
 		t.Fatalf("daemon result differs from direct engine output:\n%q", res)
 	}
+}
+
+// TestSmallNBodySizesRejected: an N-body size below nbody.MinBodies
+// would panic in a worker goroutine of the real engine and take the
+// whole daemon down. It must be a 400, and the daemon must keep
+// serving, down to a fig8 job at exactly the minimum size.
+func TestSmallNBodySizesRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	spec := func(n int) string {
+		return fmt.Sprintf(`{"experiments":["fig8"],"options":{"picSteps":1,"nBodySizes":[%d],"nBodySample":1,"appSteps":1,"seed":1}}`, n)
+	}
+	if _, code := submit(t, ts, spec(10)); code != http.StatusBadRequest {
+		t.Fatalf("fig8 with 10 bodies: code %d, want 400", code)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after rejected spec: %d", resp.StatusCode)
+	}
+	v, code := submit(t, ts, spec(nbody.MinBodies))
+	if code != http.StatusAccepted {
+		t.Fatalf("fig8 with MinBodies: code %d, want 202", code)
+	}
+	waitStatus(t, ts, v.ID, StatusDone)
 }
 
 // TestJobCountersAndMetrics checks the PMU surfaces of the daemon: a
