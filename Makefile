@@ -6,16 +6,16 @@ GO ?= go
 BENCH_JSON ?= BENCH_8.json
 LOAD_JSON ?= LOAD_8.json
 
-.PHONY: all verify build test race bench loadcheck vet doc lint lint-annotations cover faultmatrix checkpoint pdes cluster reproduce quick serve servegw examples clean
+.PHONY: all verify build test race bench loadcheck vet doc lint lint-annotations cover faultmatrix checkpoint cluster reproduce quick serve servegw examples clean
 
 all: build vet lint test race
 
 # Tier-1 verification chain: compile, static checks, doc coverage,
 # simulator invariants, tests, race tests, the fault matrix, the
-# checkpoint resume-exactness gate, the PDES golden-equality gate, the
-# sharded-cluster gate, and the load-harness + perf-trend gate.
+# checkpoint resume-exactness gate, the sharded-cluster gate, and the
+# load-harness + perf-trend gate.
 verify:
-	$(GO) build ./... && $(GO) vet ./... && $(GO) run ./cmd/doccheck && $(GO) run ./cmd/simlint && $(GO) test ./... && $(GO) test -race ./... && $(MAKE) faultmatrix && $(MAKE) checkpoint && $(MAKE) pdes && $(MAKE) cluster && $(MAKE) loadcheck
+	$(GO) build ./... && $(GO) vet ./... && $(GO) run ./cmd/doccheck && $(GO) run ./cmd/simlint && $(GO) test ./... && $(GO) test -race ./... && $(MAKE) faultmatrix && $(MAKE) checkpoint && $(MAKE) cluster && $(MAKE) loadcheck
 
 # Fail on undocumented exported symbols of the core packages
 # (internal/sim, internal/trace, internal/runner, internal/counters,
@@ -88,22 +88,14 @@ faultmatrix:
 	$(MAKE) checkpoint
 
 # The checkpoint/resume gate: snapshot encoding round-trips and
-# corruption rejection, kernel/coordinator quiescent snapshots, the
-# kill-at-every-boundary resume-exactness sweep (byte-identical output
-# and exactly equal sim totals at -simpar 1/2/4), and the service's
-# checkpointed-job lifecycle — all under the race detector.
+# corruption rejection, the kill-at-every-boundary resume-exactness
+# sweep (byte-identical output and exactly equal sim totals at -par
+# 1/2/4), and the service's checkpointed-job lifecycle — all under the
+# race detector.
 checkpoint:
 	$(GO) test -race ./internal/snapshot
-	$(GO) test -race -run 'TestKernelSnapshot|TestKernelRestore|TestCoordinatorSnapshot|TestCoordinatorRestore' ./internal/sim ./internal/parsim
 	$(GO) test -race -run 'TestCheckpoint' ./internal/experiments
 	$(GO) test -race -run 'TestDeadline|TestRestartResumes|TestDefaultRunnerCheckpoints' ./internal/service
-
-# The partitioned-engine gate: the parsim coordinator unit tests and
-# the serial-vs-PDES golden-equality suite (every experiment at
-# -simpar 1/2/4, byte-identical), all under the race detector.
-pdes:
-	$(GO) test -race ./internal/parsim
-	$(GO) test -race -run 'TestPDES' ./internal/experiments
 
 # The sharded-cluster gate: ring placement properties, membership and
 # merged metrics, and the gateway-plus-backends end-to-end suite (a

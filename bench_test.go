@@ -16,7 +16,6 @@ import (
 	"spp1000/internal/experiments"
 	"spp1000/internal/load"
 	"spp1000/internal/microbench"
-	"spp1000/internal/parsim"
 	"spp1000/internal/sim"
 )
 
@@ -122,9 +121,7 @@ func BenchmarkFig7FEM(b *testing.B) {
 }
 
 // BenchmarkFig6PIC128 times the paper's largest PIC configuration — the
-// full 128-CPU machine the authors did not have — on the monolithic
-// serial engine: the single-kernel wall-clock floor the partitioned
-// engine is measured against.
+// full 128-CPU machine the authors did not have.
 func BenchmarkFig6PIC128(b *testing.B) {
 	o := opts(b)
 	ev0 := sim.TotalEvents()
@@ -140,33 +137,8 @@ func BenchmarkFig6PIC128(b *testing.B) {
 	b.ReportMetric(r.Mflops, "sim-Mflops-128cpu")
 }
 
-// benchPIC128PDES is BenchmarkFig6PIC128 on the hypernode-partitioned
-// engine at a fixed -simpar worker count.
-func benchPIC128PDES(b *testing.B, workers int) {
-	o := opts(b)
-	parsim.SetWorkers(workers)
-	defer parsim.SetWorkers(0)
-	ev0 := sim.TotalEvents()
-	var r pic.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = pic.RunSharedPar(pic.Small, 128, o.PICSteps)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportEventRate(b, sim.TotalEvents()-ev0)
-	b.ReportMetric(r.Mflops, "sim-Mflops-128cpu")
-}
-
-// BenchmarkFig6PIC128PDES1 is the partitioned PIC at -simpar 1.
-func BenchmarkFig6PIC128PDES1(b *testing.B) { benchPIC128PDES(b, 1) }
-
-// BenchmarkFig6PIC128PDES2 is the partitioned PIC at -simpar 2.
-func BenchmarkFig6PIC128PDES2(b *testing.B) { benchPIC128PDES(b, 2) }
-
 // BenchmarkFig7FEM128 times the FEM large grid on the full 128-CPU
-// machine on the monolithic serial engine (see BenchmarkFig6PIC128).
+// machine (see BenchmarkFig6PIC128).
 func BenchmarkFig7FEM128(b *testing.B) {
 	o := opts(b)
 	ev0 := sim.TotalEvents()
@@ -181,31 +153,6 @@ func BenchmarkFig7FEM128(b *testing.B) {
 	reportEventRate(b, sim.TotalEvents()-ev0)
 	b.ReportMetric(r.UsefulMflops, "sim-useful-Mflops-128cpu")
 }
-
-// benchFEM128PDES is BenchmarkFig7FEM128 on the hypernode-partitioned
-// engine at a fixed -simpar worker count.
-func benchFEM128PDES(b *testing.B, workers int) {
-	o := opts(b)
-	parsim.SetWorkers(workers)
-	defer parsim.SetWorkers(0)
-	ev0 := sim.TotalEvents()
-	var r fem.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = fem.RunPar(fem.LargeGrid, fem.GatherScatter, 128, o.AppSteps)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportEventRate(b, sim.TotalEvents()-ev0)
-	b.ReportMetric(r.UsefulMflops, "sim-useful-Mflops-128cpu")
-}
-
-// BenchmarkFig7FEM128PDES1 is the partitioned FEM at -simpar 1.
-func BenchmarkFig7FEM128PDES1(b *testing.B) { benchFEM128PDES(b, 1) }
-
-// BenchmarkFig7FEM128PDES2 is the partitioned FEM at -simpar 2.
-func BenchmarkFig7FEM128PDES2(b *testing.B) { benchFEM128PDES(b, 2) }
 
 // BenchmarkFig8NBody regenerates Figure 8 (32K and 256K particles; run
 // cmd/sppbench for the full 2M-particle sweep).

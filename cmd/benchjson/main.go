@@ -9,8 +9,8 @@
 //	go test -bench=. -benchmem -run=NONE ./... | benchjson > BENCH_1.json
 //
 // Schema version 2 (see docs/BENCHMARKS.md) stamps provenance — git
-// commit, run timestamp, Go version, and the -par/-simpar settings the
-// run used — so every trend point is attributable to the code and
+// commit, run timestamp, Go version, and the -par setting the run
+// used — so every trend point is attributable to the code and
 // configuration that produced it. Version-1 files (BENCH_1..BENCH_6)
 // lack these fields; readers must treat a missing schema_version as 1.
 package main
@@ -48,13 +48,12 @@ type Output struct {
 	// artifacts that predate provenance stamping.
 	SchemaVersion int `json:"schema_version,omitempty"`
 	// GitCommit, RunTimestamp (RFC 3339 UTC), and GoVersion attribute
-	// the run; Par and SimPar record the host-parallelism and
-	// PDES-partition settings in effect, when the caller passed them.
+	// the run; Par records the host-parallelism setting in effect, when
+	// the caller passed it.
 	GitCommit    string      `json:"git_commit,omitempty"`
 	RunTimestamp string      `json:"run_timestamp,omitempty"`
 	GoVersion    string      `json:"go_version,omitempty"`
 	Par          int         `json:"par,omitempty"`
-	SimPar       int         `json:"simpar,omitempty"`
 	GOOS         string      `json:"goos,omitempty"`
 	GOARCH       string      `json:"goarch,omitempty"`
 	CPU          string      `json:"cpu,omitempty"`
@@ -66,7 +65,6 @@ const schemaVersion = 2
 
 func main() {
 	par := flag.Int("par", 0, "host-parallelism setting the benchmarks ran with (stamped into the artifact; 0 omits)")
-	simpar := flag.Int("simpar", 0, "PDES partition count the benchmarks ran with (stamped into the artifact; 0 omits)")
 	commit := flag.String("commit", "", "git commit to stamp (default: git rev-parse HEAD, omitted if that fails)")
 	flag.Parse()
 
@@ -76,7 +74,6 @@ func main() {
 		RunTimestamp:  time.Now().UTC().Format(time.RFC3339),
 		GoVersion:     runtime.Version(),
 		Par:           *par,
-		SimPar:        *simpar,
 		Benchmarks:    []Benchmark{},
 	}
 	if out.GitCommit == "" {

@@ -36,7 +36,6 @@ var defaultPackages = []string{
 	"internal/lint/linttest",
 	"internal/store",
 	"internal/faultinject",
-	"internal/parsim",
 	"internal/gateway",
 	"internal/load",
 	"internal/snapshot",

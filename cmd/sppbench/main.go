@@ -8,7 +8,6 @@
 //	sppbench -exp fig6,tab2      # a subset
 //	sppbench -quick              # reduced problem sizes (CI-friendly)
 //	sppbench -par 1              # serial (default: all host cores)
-//	sppbench -simpar 4           # partitioned-engine workers (1 = serial)
 //	sppbench -exp all -counters  # append per-component PMU counter tables
 //	sppbench -exp all -checkpoint run.ckpt -checkpoint-every 2
 //	                             # checkpoint progress every 2 experiments
@@ -16,10 +15,7 @@
 //
 // Every sweep point is an independent deterministic simulation, so the
 // experiments fan out across host cores through internal/runner; the
-// output is byte-identical for any -par value. -simpar independently
-// sets how many goroutines execute the hypernode partitions *inside*
-// one simulation on the PDES engine (internal/parsim); output is
-// byte-identical for any -simpar value too. A checkpointed run killed
+// output is byte-identical for any -par value. A checkpointed run killed
 // at any boundary and resumed prints byte-identical output as well —
 // the resume-exactness guarantee internal/snapshot's tests enforce.
 package main
@@ -34,7 +30,6 @@ import (
 
 	"spp1000/internal/counters"
 	"spp1000/internal/experiments"
-	"spp1000/internal/parsim"
 	"spp1000/internal/runner"
 	"spp1000/internal/snapshot"
 )
@@ -44,7 +39,6 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced problem sizes")
 	jsonOut := flag.Bool("json", false, "emit the paper artifacts as structured JSON instead of text")
 	par := flag.Int("par", 0, "host workers for independent simulations (0 = all cores, 1 = serial)")
-	simpar := flag.Int("simpar", 0, "host workers for hypernode partitions inside one PDES simulation (0 or 1 = serial)")
 	withCounters := flag.Bool("counters", false, "append a per-component PMU counter breakdown to every experiment")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file: save resumable progress at experiment boundaries")
 	every := flag.Int("checkpoint-every", 1, "experiments between checkpoint saves (with -checkpoint or -resume)")
@@ -56,11 +50,6 @@ func main() {
 		os.Exit(2)
 	}
 	runner.SetWorkers(*par)
-	if *simpar < 0 {
-		fmt.Fprintf(os.Stderr, "sppbench: -simpar must be >= 0 (0 or 1 = serial), got %d\n", *simpar)
-		os.Exit(2)
-	}
-	parsim.SetWorkers(*simpar)
 
 	opts := experiments.Defaults()
 	if *quick {

@@ -5,7 +5,6 @@ import (
 
 	"spp1000/internal/c90"
 	"spp1000/internal/machine"
-	"spp1000/internal/parsim"
 	"spp1000/internal/perfmodel"
 	"spp1000/internal/threads"
 	"spp1000/internal/topology"
@@ -114,8 +113,7 @@ func (p DataPlacement) String() string {
 // coding's per-element costs and the thread's data placement. remote
 // marks a thread whose CPU lives off hypernode 0, where the paper's
 // near-shared-hosted mesh arrays reside; its partition's state crosses
-// the rings every step. Shared by the monolithic (RunPlaced) and
-// partitioned (RunPar) runners so both price the identical work model.
+// the rings every step.
 func chunkCycles(p topology.Params, grid [2]int, coding Coding, procs, tid int, placement DataPlacement, remote bool) int64 {
 	points := grid[0] * grid[1]
 	elements := 2 * points
@@ -212,59 +210,6 @@ func RunPlaced(grid [2]int, coding Coding, procs, steps int, placement DataPlace
 	if err != nil {
 		return Result{}, err
 	}
-	sec := elapsed.Seconds()
-	updates := float64(points) * float64(steps)
-	rate := updates / (sec * 1e6)
-	return Result{
-		Grid: grid, Coding: coding, Procs: procs, Steps: steps,
-		Seconds:           sec,
-		PointUpdatesPerUs: rate,
-		UsefulMflops:      rate * UsefulFlopsPerPoint,
-	}, nil
-}
-
-// RunPar is Run on the hypernode-partitioned (PDES) engine: the same
-// per-thread work model (chunkCycles) and three-barrier step structure,
-// but one share-nothing kernel per hypernode (internal/parsim), so the
-// simulation scales across host cores up to the full 128-CPU machine.
-// Output is byte-identical at every parsim worker count.
-func RunPar(grid [2]int, coding Coding, procs, steps int) (Result, error) {
-	hn := (procs + topology.CPUsPerNode - 1) / topology.CPUsPerNode
-	if hn < 1 {
-		hn = 1
-	}
-	cl, err := parsim.NewCluster(hn)
-	if err != nil {
-		return Result{}, err
-	}
-	cycles := make([]int64, procs)
-	nodeOf := make([]int, procs)
-	counts := make([]int, hn)
-	for tid := range cycles {
-		cpu := threads.CPUFor(cl.Topo, threads.HighLocality, tid, procs)
-		nodeOf[tid] = cpu.Hypernode()
-		counts[nodeOf[tid]]++
-		cycles[tid] = chunkCycles(cl.P, grid, coding, procs, tid, HostedNearShared, cpu.Hypernode() != 0)
-	}
-	bar, err := parsim.NewClusterBarrier(cl, counts)
-	if err != nil {
-		return Result{}, err
-	}
-	elapsed, err := cl.RunTeam(procs, func(th *machine.Thread, tid int) {
-		for s := 0; s < steps; s++ {
-			// dt reduction barrier, element phase, point phase.
-			th.ComputeCycles(cycles[tid] / 3)
-			bar.Wait(th, nodeOf[tid])
-			th.ComputeCycles(cycles[tid] - 2*(cycles[tid]/3))
-			bar.Wait(th, nodeOf[tid])
-			th.ComputeCycles(cycles[tid] / 3)
-			bar.Wait(th, nodeOf[tid])
-		}
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	points := grid[0] * grid[1]
 	sec := elapsed.Seconds()
 	updates := float64(points) * float64(steps)
 	rate := updates / (sec * 1e6)

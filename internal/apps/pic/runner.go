@@ -5,7 +5,6 @@ import (
 
 	"spp1000/internal/c90"
 	"spp1000/internal/machine"
-	"spp1000/internal/parsim"
 	"spp1000/internal/perfmodel"
 	"spp1000/internal/pvm"
 	"spp1000/internal/threads"
@@ -73,60 +72,6 @@ func RunShared(size Size, procs, steps int) (Result, error) {
 	fl := model.FlopsPerStep() * int64(steps)
 	return Result{
 		Size: size, Procs: procs, Steps: steps, Variant: "shared",
-		Seconds: sec, Mflops: float64(fl) / sec / 1e6,
-	}, nil
-}
-
-// RunSharedPar is RunShared on the hypernode-partitioned (PDES) engine:
-// the same four-phase step structure and work model, but the machine is
-// built as one share-nothing kernel per hypernode (internal/parsim), so
-// large configurations — up to the full 128-CPU machine the paper's
-// authors did not have — can execute on concurrent host goroutines.
-// Output is byte-identical at every parsim worker count; it is a
-// different (coarser-synchronization) machine model than RunShared's
-// monolithic coherence replay, so its absolute times are compared
-// within the partitioned family, not against RunShared.
-func RunSharedPar(size Size, procs, steps int) (Result, error) {
-	hn := hypernodesFor(procs)
-	cl, err := parsim.NewCluster(hn)
-	if err != nil {
-		return Result{}, err
-	}
-	model := NewModel(size, procs, hn, false)
-	deposit := perfmodel.Cycles(cl.P, model.DepositChunk())
-	reduce := perfmodel.Cycles(cl.P, model.ReduceChunk())
-	solve := perfmodel.Cycles(cl.P, model.SolveChunk(false))
-	gather := perfmodel.Cycles(cl.P, model.GatherPushChunk())
-
-	nodeOf := make([]int, procs)
-	counts := make([]int, hn)
-	for tid := 0; tid < procs; tid++ {
-		nodeOf[tid] = threads.CPUFor(cl.Topo, threads.HighLocality, tid, procs).Hypernode()
-		counts[nodeOf[tid]]++
-	}
-	bar, err := parsim.NewClusterBarrier(cl, counts)
-	if err != nil {
-		return Result{}, err
-	}
-	elapsed, err := cl.RunTeam(procs, func(th *machine.Thread, tid int) {
-		for step := 0; step < steps; step++ {
-			th.ComputeCycles(deposit)
-			bar.Wait(th, nodeOf[tid])
-			th.ComputeCycles(reduce)
-			bar.Wait(th, nodeOf[tid])
-			th.ComputeCycles(solve)
-			bar.Wait(th, nodeOf[tid])
-			th.ComputeCycles(gather)
-			bar.Wait(th, nodeOf[tid])
-		}
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	sec := elapsed.Seconds()
-	fl := model.FlopsPerStep() * int64(steps)
-	return Result{
-		Size: size, Procs: procs, Steps: steps, Variant: "shared-pdes",
 		Seconds: sec, Mflops: float64(fl) / sec / 1e6,
 	}, nil
 }

@@ -271,62 +271,6 @@ func (s *Snapshot) sort() {
 	}
 }
 
-// MergeSnapshots folds several snapshots into one: groups with the same
-// name merge, counters with the same name add, histograms with the same
-// name fold (count/sum/buckets add, max takes the larger). It is how a
-// partitioned cluster (internal/parsim) combines its per-hypernode
-// registries into one machine-wide snapshot. Deterministic and
-// commutative over the inputs: the result is sorted like Snapshot, and
-// addition/max do not depend on argument order.
-func MergeSnapshots(snaps ...Snapshot) Snapshot {
-	groups := make(map[string]*GroupSnapshot)
-	var order []string
-	for _, s := range snaps {
-		for _, g := range s.Groups {
-			mg, ok := groups[g.Name]
-			if !ok {
-				mg = &GroupSnapshot{Name: g.Name}
-				groups[g.Name] = mg
-				order = append(order, g.Name)
-			}
-			for _, c := range g.Counters {
-				mergeCounter(mg, c)
-			}
-			for _, h := range g.Histograms {
-				mergeHistogram(mg, h)
-			}
-		}
-	}
-	var out Snapshot
-	for _, name := range order {
-		out.Groups = append(out.Groups, *groups[name])
-	}
-	out.sort()
-	return out
-}
-
-// mergeCounter adds c into the group, creating the entry on first sight.
-func mergeCounter(g *GroupSnapshot, c CounterValue) {
-	for i := range g.Counters {
-		if g.Counters[i].Name == c.Name {
-			g.Counters[i].Value += c.Value
-			return
-		}
-	}
-	g.Counters = append(g.Counters, c)
-}
-
-// mergeHistogram folds h into the group, creating the entry on first sight.
-func mergeHistogram(g *GroupSnapshot, h HistogramValue) {
-	for i := range g.Histograms {
-		if g.Histograms[i].Name == h.Name {
-			g.Histograms[i].merge(h)
-			return
-		}
-	}
-	g.Histograms = append(g.Histograms, h)
-}
-
 // Counter reports the value of group/name in the snapshot (0 if absent).
 func (s Snapshot) Counter(group, name string) int64 {
 	for _, g := range s.Groups {

@@ -8,26 +8,28 @@ import (
 	"strings"
 	"testing"
 
-	"spp1000/internal/parsim"
+	"spp1000/internal/runner"
 	"spp1000/internal/snapshot"
 )
 
 // TestCheckpointKillAtEveryBoundary is the resume-exactness gate from
 // the checkpoint PR: a run killed at ANY checkpoint boundary and resumed
 // must produce byte-identical outputs and exactly equal sim-cycle/event
-// and PMU counter totals versus an uninterrupted run — at -simpar 1, 2,
-// and 4, under -race (`make checkpoint` / `make faultmatrix`). The
-// final-checkpoint byte equality is the strongest form: outputs, sim
-// totals, counter snapshot, and region signatures all live inside the
-// encoding, so one bytes.Equal covers the whole contract.
+// and PMU counter totals versus an uninterrupted run — at -par 1, 2,
+// and 4, under -race (`make checkpoint` / `make faultmatrix`). fig6
+// fans its sweep points out over the runner pool, so the wider levels
+// really run simulations concurrently. The final-checkpoint byte
+// equality is the strongest form: outputs, sim totals, counter
+// snapshot, and region signatures all live inside the encoding, so one
+// bytes.Equal covers the whole contract.
 func TestCheckpointKillAtEveryBoundary(t *testing.T) {
 	o := Quick()
-	names := []string{"fig2", "tab1", "scalepar"} // scalepar exercises the PDES engine
+	names := []string{"fig2", "tab1", "fig6"}
 
 	for _, workers := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("simpar%d", workers), func(t *testing.T) {
-			parsim.SetWorkers(workers)
-			defer parsim.SetWorkers(0)
+		t.Run(fmt.Sprintf("par%d", workers), func(t *testing.T) {
+			runner.SetWorkers(workers)
+			defer runner.SetWorkers(0)
 
 			// Uninterrupted reference, recording the checkpoint bytes at
 			// every boundary — these are the states a kill could leave.

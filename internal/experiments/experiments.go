@@ -348,7 +348,7 @@ func Classes(o Options) (string, error) {
 // studies.
 var (
 	Names = []string{"fig2", "fig3", "fig4", "tab1", "fig6", "fig7", "fig8", "tab2"}
-	Extra = []string{"ablate", "scale", "classes", "amr", "counters", "scalepar"}
+	Extra = []string{"ablate", "scale", "classes", "amr", "counters"}
 )
 
 // Known reports whether name is a runnable experiment id.
@@ -479,8 +479,6 @@ func RunCtx(ctx context.Context, name string, o Options) (string, error) {
 		return amrReport(ctx, o)
 	case "counters":
 		return CountersReport(o)
-	case "scalepar":
-		return ScalePar(ctx, o)
 	}
 	return "", fmt.Errorf("unknown experiment %q (have %v and %v)", name, Names, Extra)
 }

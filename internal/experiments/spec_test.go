@@ -112,8 +112,11 @@ func TestSpecNormalize(t *testing.T) {
 	if n.Experiments[0] != "fig2" || n.Experiments[1] != "tab2" {
 		t.Fatalf("Normalize did not trim: %v", n.Experiments)
 	}
-	if _, err := (Spec{Experiments: []string{"nope"}}).Normalize(); err == nil {
-		t.Fatal("unknown experiment should fail Normalize")
+	// scalepar was the partitioned-engine sweep; it is gone, not renamed.
+	for _, name := range []string{"nope", "scalepar"} {
+		if _, err := (Spec{Experiments: []string{name}}).Normalize(); err == nil {
+			t.Fatalf("unknown experiment %q should fail Normalize", name)
+		}
 	}
 	if _, err := (Spec{}).Normalize(); err == nil {
 		t.Fatal("empty experiment list should fail Normalize")
@@ -164,7 +167,7 @@ func TestResolveNames(t *testing.T) {
 	if err != nil || len(got) != 2 || got[0] != "fig6" || got[1] != "tab2" {
 		t.Fatalf("ResolveNames list = %v, %v", got, err)
 	}
-	for _, bad := range []string{"", "fig2,", "nope", "fig2,,tab2"} {
+	for _, bad := range []string{"", "fig2,", "nope", "fig2,,tab2", "scalepar"} {
 		if _, err := ResolveNames(bad); err == nil {
 			t.Fatalf("ResolveNames(%q) should error", bad)
 		}

@@ -22,13 +22,6 @@ const (
 	// ClassSimCore packages execute inside, or render the output of, the
 	// deterministic simulation. Every analyzer applies in full.
 	ClassSimCore
-	// ClassPDES packages coordinate concurrent execution of sim-core
-	// kernels (the parallel-discrete-event layer). Goroutines and
-	// channels are their reason to exist, so the no-goroutine rule does
-	// not apply — but their scheduling decisions feed simulator output,
-	// so the other determinism invariants (no wall-clock reads, no
-	// math/rand, no map iteration) bind exactly as in sim-core.
-	ClassPDES
 )
 
 // String names the class for diagnostics and docs.
@@ -38,8 +31,6 @@ func (c Class) String() string {
 		return "host"
 	case ClassSimCore:
 		return "sim-core"
-	case ClassPDES:
-		return "pdes"
 	default:
 		return "exempt"
 	}
@@ -76,14 +67,6 @@ var SimCorePackages = []string{
 	"internal/microbench",
 	"internal/trace",
 	"internal/snapshot",
-}
-
-// PDESPackages lists the module-relative import paths (each covering
-// its subtree) classified ClassPDES: the coordinator layer that runs
-// sim-core kernels on concurrent goroutines while keeping their output
-// byte-identical.
-var PDESPackages = []string{
-	"internal/parsim",
 }
 
 // HostPackages lists the module-relative import paths (each covering its
@@ -137,7 +120,7 @@ var RequiredHotpaths = map[string][]string{
 	// The event-kernel inner loop: pop, clock advance, direct Proc
 	// resume or callback dispatch — 0 allocs/event since PR 1.
 	"internal/sim": {
-		"Kernel.Run", "Kernel.RunUntil", "Kernel.atProc", "Kernel.resumeProc",
+		"Kernel.Run", "Kernel.atProc", "Kernel.resumeProc",
 		"eventHeap.push", "eventHeap.pop", "Proc.Delay",
 	},
 	// The counters-disabled path: a nil-receiver branch and nothing
@@ -147,8 +130,6 @@ var RequiredHotpaths = map[string][]string{
 	// fill. First-touch page allocation lives in an out-of-line helper
 	// so the steady state stays escape-free.
 	"internal/cache": {"Cache.Access", "Cache.Contains", "Cache.Invalidate"},
-	// The PDES stripe worker body: runs once per partition per window.
-	"internal/parsim": {"Coordinator.runPart"},
 	// The daemon's cache hot path: a hash lookup answering repeat
 	// submissions.
 	"internal/resultcache": {"Cache.Lookup"},
@@ -217,11 +198,6 @@ func Classify(pkgPath string) Class {
 	for _, p := range SimCorePackages {
 		if rel == p || strings.HasPrefix(rel, p+"/") {
 			return ClassSimCore
-		}
-	}
-	for _, p := range PDESPackages {
-		if rel == p || strings.HasPrefix(rel, p+"/") {
-			return ClassPDES
 		}
 	}
 	for _, p := range HostPackages {

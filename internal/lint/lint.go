@@ -22,7 +22,7 @@
 //     (go build -gcflags=-m=2), and the RequiredHotpaths inventory keeps
 //     the annotations themselves from silently disappearing.
 //   - lockorder: the interprocedural sync.Mutex/RWMutex acquisition graph
-//     over host and pdes packages has no cycles (no ABBA deadlocks, no
+//     over host packages has no cycles (no ABBA deadlocks, no
 //     reacquisition self-deadlocks).
 //   - ledger: every metric name an annotated //simlint:metrics-writer
 //     emits appears in the reconcile equations (internal/load or the

@@ -14,7 +14,7 @@ const fixmod = "testdata/fixmod"
 func TestDeterminism(t *testing.T) {
 	linttest.Run(t, fixmod,
 		[]string{"./internal/cache", "./internal/runner", "./cmd/tool",
-			"./internal/sim", "./internal/parsim"},
+			"./internal/sim"},
 		lint.Determinism)
 }
 
@@ -80,7 +80,6 @@ func TestClassify(t *testing.T) {
 		{"spp1000/internal/sim", lint.ClassSimCore},
 		{"spp1000/internal/apps/fem", lint.ClassSimCore},
 		{"spp1000/internal/counters", lint.ClassSimCore},
-		{"spp1000/internal/parsim", lint.ClassPDES},
 		{"spp1000/internal/runner", lint.ClassHost},
 		{"spp1000/internal/service", lint.ClassHost},
 		{"spp1000/internal/resultcache", lint.ClassHost},

@@ -1,8 +1,8 @@
 package sim
 
-// RunPartitions tries to smuggle PDES-style worker goroutines into the
-// kernel itself: the pdes class exemption is per-package, so sim-core
-// still fails.
+// RunPartitions tries to smuggle worker goroutines into the kernel
+// itself: host concurrency belongs in internal/runner, so sim-core
+// fails.
 func RunPartitions(parts []func()) {
 	done := make(chan struct{}, len(parts))
 	for _, p := range parts {

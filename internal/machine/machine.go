@@ -25,13 +25,6 @@ type Config struct {
 	// CacheLines scales down the per-CPU cache for fine-grained
 	// experiments (0 = the architectural 32768 lines).
 	CacheLines int
-	// NodeIndex is the global hypernode number of this machine's first
-	// hypernode. A monolithic machine leaves it 0; a partitioned cluster
-	// (internal/parsim) builds one 1-hypernode machine per simulated
-	// hypernode and sets NodeIndex so per-hypernode counter groups
-	// (cache.hn<N>, directory.hn<N>, …) stay globally distinct when the
-	// per-partition registries are merged into one snapshot.
-	NodeIndex int
 }
 
 // Machine is one simulated SPP-1000.
@@ -49,8 +42,6 @@ type Machine struct {
 	// counted event. Enable with EnableCounters; machines built while a
 	// counters.Collector is attached enable themselves.
 	Counters *counters.Registry
-
-	nodeIndex int // global hypernode number of hypernode 0 (Config.NodeIndex)
 }
 
 // New builds a machine.
@@ -64,11 +55,10 @@ func New(cfg Config) (*Machine, error) {
 		p = *cfg.Params
 	}
 	m := &Machine{
-		K:         sim.NewKernel(),
-		Topo:      topo,
-		P:         p,
-		Mem:       memsys.New(topo, p, cfg.CacheLines),
-		nodeIndex: cfg.NodeIndex,
+		K:    sim.NewKernel(),
+		Topo: topo,
+		P:    p,
+		Mem:  memsys.New(topo, p, cfg.CacheLines),
 	}
 	if counters.Active() {
 		m.EnableCounters()
@@ -84,7 +74,7 @@ func New(cfg Config) (*Machine, error) {
 func (m *Machine) EnableCounters() *counters.Registry {
 	if m.Counters == nil {
 		m.Counters = counters.NewRegistry()
-		m.Mem.AttachCountersBase(m.Counters, m.nodeIndex)
+		m.Mem.AttachCounters(m.Counters)
 	}
 	return m.Counters
 }

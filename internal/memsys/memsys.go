@@ -92,25 +92,15 @@ type memHooks struct {
 // and stall cycles. Counters never touch virtual time, so attaching
 // them cannot change any simulated result. A nil registry detaches
 // everything.
-func (s *System) AttachCounters(r *counters.Registry) { s.AttachCountersBase(r, 0) }
-
-// AttachCountersBase is AttachCounters with the hypernode numbers in the
-// group names offset by base. A partitioned cluster (internal/parsim)
-// builds one 1-hypernode System per simulated hypernode; base gives each
-// its global hypernode number so the per-partition snapshots merge into
-// one machine-wide snapshot without name collisions. The machine-wide
-// groups (mem, sci, ring) keep their unqualified names and therefore sum
-// across partitions on merge, exactly as a monolithic machine would
-// count them.
-func (s *System) AttachCountersBase(r *counters.Registry, base int) {
+func (s *System) AttachCounters(r *counters.Registry) {
 	for i, c := range s.caches {
-		c.AttachCounters(r.Group(fmt.Sprintf("cache.hn%d", base+topology.CPUID(i).Hypernode())))
+		c.AttachCounters(r.Group(fmt.Sprintf("cache.hn%d", topology.CPUID(i).Hypernode())))
 	}
 	for hn, d := range s.dirs {
-		d.AttachCounters(r.Group(fmt.Sprintf("directory.hn%d", base+hn)))
+		d.AttachCounters(r.Group(fmt.Sprintf("directory.hn%d", hn)))
 	}
 	for hn, x := range s.xbars {
-		x.AttachCounters(r.Group(fmt.Sprintf("xbar.hn%d", base+hn)))
+		x.AttachCounters(r.Group(fmt.Sprintf("xbar.hn%d", hn)))
 	}
 	s.SCI.AttachCounters(r.Group("sci"))
 	s.Rings.AttachCounters(r.Group("ring"))

@@ -6,12 +6,11 @@ import (
 )
 
 // totalCycles accumulates the virtual cycles advanced by every kernel in
-// the process, folded in once per Run/RunUntil return (never on the
-// per-event hot path). It feeds throughput gauges such as sppd's
+// the process, folded in once per Run return (never on the per-event
+// hot path). It feeds throughput gauges such as sppd's
 // simulated-cycles-per-wall-second metric. The process-wide totals are
-// pure sums of the per-kernel figures (CyclesRun, EventsProcessed), so
-// concurrent kernels — runner-pool sweeps, PDES partitions — never
-// conflate each other's counts.
+// pure sums of per-kernel figures, so concurrent kernels (runner-pool
+// sweeps) never conflate each other's counts.
 var totalCycles atomic.Int64
 
 // totalEvents accumulates the events executed by every kernel in the
@@ -23,7 +22,7 @@ var totalEvents atomic.Int64
 func TotalCycles() int64 { return totalCycles.Load() }
 
 // TotalEvents reports the events executed by all kernels in this process
-// so far, folded in at Run/RunUntil boundaries like TotalCycles. It is
+// so far, folded in at Run boundaries like TotalCycles. It is
 // the numerator of the events-per-second throughput metrics the
 // benchmarks report. Monotonic; safe for concurrent use.
 func TotalEvents() int64 { return totalEvents.Load() }
@@ -120,8 +119,7 @@ type Kernel struct {
 	// handshake with the currently-running Proc
 	yield chan struct{} // Proc -> Kernel: I have parked (or exited)
 
-	live    int // Procs spawned and not yet finished
-	blocked int // Procs parked on a waiter queue (not a timed event)
+	live int // Procs spawned and not yet finished
 
 	eventsDone int64 // events executed by this kernel
 
@@ -139,29 +137,8 @@ func NewKernel() *Kernel {
 // Now reports the current virtual time.
 func (k *Kernel) Now() Cycles { return k.now }
 
-// EventsProcessed reports the events this kernel has executed so far.
-// Per-instance, so concurrent kernels (runner-pool sweeps, PDES
-// partitions) report their own work; the process-wide TotalEvents is
-// the sum over kernels.
-func (k *Kernel) EventsProcessed() int64 { return k.eventsDone }
-
-// CyclesRun reports the virtual cycles this kernel has advanced so far
-// (kernels start at time zero, so this equals Now). The process-wide
-// TotalCycles is the sum over kernels.
-func (k *Kernel) CyclesRun() Cycles { return k.now }
-
 // Live reports how many Procs have been spawned and not yet finished.
 func (k *Kernel) Live() int { return k.live }
-
-// NextEventAt reports the timestamp of the earliest pending event, or
-// false if the queue is empty. PDES coordinators use it to compute the
-// conservative window horizon without disturbing the queue.
-func (k *Kernel) NextEventAt() (Cycles, bool) {
-	if len(k.events) == 0 {
-		return 0, false
-	}
-	return k.events[0].at, true
-}
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past is an error in the caller; it is clamped to "now" to keep the
@@ -231,31 +208,9 @@ func (k *Kernel) deadlockError() error {
 	return fmt.Errorf("%s", msg)
 }
 
-// RunUntil executes events until the queue is empty or the clock would
-// pass t. The clock is left at min(t, time of last event executed).
-//
-//simlint:hotpath
-func (k *Kernel) RunUntil(t Cycles) error {
-	for len(k.events) > 0 && k.events[0].at <= t {
-		e := k.events.pop()
-		k.now = e.at
-		k.eventsDone++
-		if e.proc != nil {
-			k.resumeProc(e.proc)
-		} else {
-			e.fn()
-		}
-	}
-	if k.now < t {
-		k.now = t
-	}
-	k.account()
-	return nil
-}
-
 // account folds the cycles and events advanced since the last accounting
-// into the process-wide totals. Repeated Run/RunUntil calls on one
-// kernel never double-count.
+// into the process-wide totals. Repeated Run calls on one kernel never
+// double-count.
 func (k *Kernel) account() {
 	if d := k.now - k.accounted; d > 0 {
 		k.accounted = k.now

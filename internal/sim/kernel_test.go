@@ -294,28 +294,6 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	k := NewKernel()
-	fired := 0
-	k.At(100, func() { fired++ })
-	k.At(200, func() { fired++ })
-	if err := k.RunUntil(150); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Fatalf("RunUntil(150) fired %d events, want 1", fired)
-	}
-	if k.Now() != 150 {
-		t.Fatalf("clock at %d, want 150", k.Now())
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 2 {
-		t.Fatalf("final Run fired %d total, want 2", fired)
-	}
-}
-
 // Property: for any batch of event times, execution order is a stable sort
 // by time, and the clock is monotonically non-decreasing.
 func TestEventOrderProperty(t *testing.T) {
@@ -395,24 +373,24 @@ func TestProcIsolationProperty(t *testing.T) {
 }
 
 // TestTotalCyclesAccounting: the process-wide cycle counter advances by
-// exactly the virtual time a kernel covers, and repeated Run/RunUntil
-// calls on one kernel never double-count.
+// exactly the virtual time a kernel covers, and repeated Run calls on
+// one kernel never double-count.
 func TestTotalCyclesAccounting(t *testing.T) {
 	k := NewKernel()
-	k.At(100, func() {})
-	k.At(250, func() {})
+	k.At(120, func() {})
 	before := TotalCycles()
-	if err := k.RunUntil(120); err != nil {
+	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if d := TotalCycles() - before; d != 120 {
-		t.Fatalf("after RunUntil(120): accounted %d cycles, want 120", d)
+		t.Fatalf("after first Run: accounted %d cycles, want 120", d)
 	}
+	k.At(250, func() {})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if d := TotalCycles() - before; d != 250 {
-		t.Fatalf("after Run: accounted %d cycles, want 250 total", d)
+		t.Fatalf("after second Run: accounted %d cycles, want 250 total", d)
 	}
 	// Running again with nothing scheduled adds nothing.
 	if err := k.Run(); err != nil {
@@ -423,10 +401,9 @@ func TestTotalCyclesAccounting(t *testing.T) {
 	}
 }
 
-// TestPerKernelAccounting: EventsProcessed/CyclesRun are per-instance,
-// NextEventAt peeks without executing, and the process-wide TotalEvents
-// is the sum of the per-kernel counts (no double counting across
-// repeated Run/RunUntil calls).
+// TestPerKernelAccounting: the process-wide TotalEvents and TotalCycles
+// are sums over kernels — two kernels run back to back each add their
+// own work, and idle re-runs add nothing further.
 func TestPerKernelAccounting(t *testing.T) {
 	k1, k2 := NewKernel(), NewKernel()
 	for _, at := range []Time{10, 20, 30} {
@@ -434,49 +411,30 @@ func TestPerKernelAccounting(t *testing.T) {
 	}
 	k2.At(5, func() {})
 
-	if at, ok := k1.NextEventAt(); !ok || at != 10 {
-		t.Fatalf("NextEventAt = %v,%v before running, want 10,true", at, ok)
-	}
-	if k1.EventsProcessed() != 0 {
-		t.Fatalf("peeking executed %d events", k1.EventsProcessed())
-	}
-
-	before := TotalEvents()
-	if err := k1.RunUntil(20); err != nil {
-		t.Fatal(err)
-	}
-	if got := k1.EventsProcessed(); got != 2 {
-		t.Fatalf("k1 processed %d events after RunUntil(20), want 2", got)
-	}
-	if got := k1.CyclesRun(); got != 20 {
-		t.Fatalf("k1 CyclesRun = %v, want 20", got)
-	}
-	if at, ok := k1.NextEventAt(); !ok || at != 30 {
-		t.Fatalf("NextEventAt = %v,%v mid-run, want 30,true", at, ok)
-	}
+	events, cycles := TotalEvents(), TotalCycles()
 	if err := k1.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if err := k2.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := k1.EventsProcessed(); got != 3 {
-		t.Fatalf("k1 processed %d events, want 3", got)
-	}
-	if got := k2.EventsProcessed(); got != 1 {
-		t.Fatalf("k2 processed %d events, want 1", got)
-	}
-	if _, ok := k2.NextEventAt(); ok {
-		t.Fatal("NextEventAt reports an event on a drained kernel")
-	}
-	if d := TotalEvents() - before; d != 4 {
+	if d := TotalEvents() - events; d != 4 {
 		t.Fatalf("TotalEvents advanced by %d, want 4 (sum over kernels)", d)
+	}
+	if d := TotalCycles() - cycles; d != 35 {
+		t.Fatalf("TotalCycles advanced by %d, want 35 (sum over kernels)", d)
 	}
 	// Idle re-runs account nothing further.
 	if err := k1.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if d := TotalEvents() - before; d != 4 {
+	if err := k2.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if d := TotalEvents() - events; d != 4 {
 		t.Fatalf("idle Run changed the event account to %d", d)
+	}
+	if d := TotalCycles() - cycles; d != 35 {
+		t.Fatalf("idle Run changed the cycle account to %d", d)
 	}
 }

@@ -12,9 +12,7 @@ type waitq struct {
 
 func (q *waitq) wait(p *Proc) {
 	q.waiters = append(q.waiters, p)
-	p.k.blocked++
 	p.park("waiting:" + q.name)
-	p.k.blocked--
 }
 
 // wakeOne schedules the oldest waiter to resume at now+d.

@@ -9,9 +9,9 @@
 // the experiment-suite payload carried in an Archive: the completed
 // prefix of a run (rendered outputs, sim-cycle/event totals, the merged
 // PMU counter snapshot) plus the representative-region signature
-// scaffold (docs/SAMPLING.md). Kernel- and coordinator-level state
-// records are written by sim.Kernel.Snapshot and
-// parsim.Coordinator.Snapshot and ride inside Archive sections.
+// scaffold (docs/SAMPLING.md). Checkpoints are taken only at
+// experiment boundaries, where no kernel is live, so no kernel state
+// needs a record of its own.
 //
 // Every encoding here is deterministic: equal state always encodes to
 // equal bytes, so the content address is a sound identity (the same

@@ -104,23 +104,6 @@ func DefaultParams() Params {
 	}
 }
 
-// InterNodeLookahead reports a conservative lower bound, in cycles, on
-// the latency of any interaction that crosses a hypernode boundary: the
-// crossbar leg to the ring-interface FU, the fixed SCI packet handling
-// at the injecting endpoint, and at least one ring hop. Every modeled
-// cross-hypernode path costs at least this much — a clean global miss
-// adds the return legs, directory and memory (GlobalMissCycles), an
-// uncached remote RMW adds the directory and semaphore cell, a remote
-// thread dispatch costs ThreadSpawnRemote (≈13× this bound), and a PVM
-// rendezvous adds the daemon wakeup. A hypernode-partitioned simulation
-// (internal/parsim) therefore uses this as its conservative lookahead:
-// partitions may advance independently within a window of this width
-// because no event inside the window can affect another hypernode
-// sooner than the window's end.
-func (p Params) InterNodeLookahead() int64 {
-	return p.CrossbarTransit + p.RingPacketFixed + p.RingHop
-}
-
 // GlobalMissCycles reports the modeled end-to-end latency of a clean
 // global (remote hypernode) miss with the given hop count, as the sum of
 // the path legs: crossbar to the ring FU, request hops, remote directory
