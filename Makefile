@@ -10,12 +10,23 @@ LOAD_JSON ?= LOAD_8.json
 
 all: build vet lint test race
 
-# Tier-1 verification chain: compile, static checks, doc coverage,
-# simulator invariants, tests, race tests, the fault matrix, the
-# checkpoint resume-exactness gate, the sharded-cluster gate, and the
-# load-harness + perf-trend gate.
+# Tier-1 verification chain: compile, static checks, gofmt, doc
+# coverage, simulator invariants, tests, race tests, the fault matrix,
+# the checkpoint resume-exactness gate, the sharded-cluster gate, and the
+# load-harness + perf-trend gate. One step per recipe line, so make
+# stops at the first failing step and `make -n verify` only prints.
 verify:
-	$(GO) build ./... && $(GO) vet ./... && $(GO) run ./cmd/doccheck && $(GO) run ./cmd/simlint && $(GO) test ./... && $(GO) test -race ./... && $(MAKE) faultmatrix && $(MAKE) checkpoint && $(MAKE) cluster && $(MAKE) loadcheck
+	$(GO) build ./...
+	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
+	$(GO) run ./cmd/doccheck
+	$(GO) run ./cmd/simlint
+	$(GO) test ./...
+	$(GO) test -race ./...
+	$(MAKE) faultmatrix
+	$(MAKE) checkpoint
+	$(MAKE) cluster
+	$(MAKE) loadcheck
 
 # Fail on undocumented exported symbols of the core packages
 # (internal/sim, internal/trace, internal/runner, internal/counters,
@@ -90,12 +101,13 @@ faultmatrix:
 # The checkpoint/resume gate: snapshot encoding round-trips and
 # corruption rejection, the kill-at-every-boundary resume-exactness
 # sweep (byte-identical output and exactly equal sim totals at -par
-# 1/2/4), and the service's checkpointed-job lifecycle — all under the
-# race detector.
+# 1/2/4), per-run exactness beside concurrent runs (checkpoints, sppd
+# job counters, per-server /metrics), and the service's
+# checkpointed-job lifecycle — all under the race detector.
 checkpoint:
 	$(GO) test -race ./internal/snapshot
 	$(GO) test -race -run 'TestCheckpoint' ./internal/experiments
-	$(GO) test -race -run 'TestDeadline|TestRestartResumes|TestDefaultRunnerCheckpoints' ./internal/service
+	$(GO) test -race -run 'TestDeadline|TestRestartResumes|TestDefaultRunnerCheckpoints|TestConcurrentJobCountersExact|TestServerMetricsIsolated|TestMetricsAdvanceDuringJob' ./internal/service
 
 # The sharded-cluster gate: ring placement properties, membership and
 # merged metrics, and the gateway-plus-backends end-to-end suite (a

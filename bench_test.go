@@ -6,6 +6,7 @@
 package spp1000
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -15,16 +16,17 @@ import (
 	"spp1000/internal/apps/ppm"
 	"spp1000/internal/experiments"
 	"spp1000/internal/load"
+	"spp1000/internal/machine"
 	"spp1000/internal/microbench"
-	"spp1000/internal/sim"
 )
 
 // reportEventRate attaches the events/sec-per-core metric: simulation
-// events executed during the benchmark per wall-clock second, divided
-// by the host cores available (runtime.GOMAXPROCS) — the engine
-// throughput number ROADMAP asks to track, comparable across hosts.
-func reportEventRate(b *testing.B, events int64) {
-	if sec := b.Elapsed().Seconds(); sec > 0 && events > 0 {
+// events env's machines executed during the benchmark per wall-clock
+// second, divided by the host cores available (runtime.GOMAXPROCS) —
+// the engine throughput number ROADMAP asks to track, comparable across
+// hosts.
+func reportEventRate(b *testing.B, env *machine.Env) {
+	if sec, events := b.Elapsed().Seconds(), env.SimEvents(); sec > 0 && events > 0 {
 		b.ReportMetric(float64(events)/sec/float64(runtime.GOMAXPROCS(0)), "events/sec-per-core")
 	}
 }
@@ -42,32 +44,33 @@ func opts(b *testing.B) experiments.Options {
 	return o
 }
 
+// runExp regenerates one experiment under env.
+func runExp(b *testing.B, env *machine.Env, name string, o experiments.Options) {
+	if _, err := experiments.RunCtx(context.Background(), env, name, o); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkFig2ForkJoin regenerates Figure 2.
 func BenchmarkFig2ForkJoin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig2(opts(b)); err != nil {
-			b.Fatal(err)
-		}
+		runExp(b, nil, "fig2", opts(b))
 	}
 }
 
 // BenchmarkFig3Barrier regenerates Figure 3.
 func BenchmarkFig3Barrier(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig3(opts(b)); err != nil {
-			b.Fatal(err)
-		}
+		runExp(b, nil, "fig3", opts(b))
 	}
 }
 
 // BenchmarkFig4Message regenerates Figure 4.
 func BenchmarkFig4Message(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig4(opts(b)); err != nil {
-			b.Fatal(err)
-		}
+		runExp(b, nil, "fig4", opts(b))
 	}
-	rt, err := microbench.MessageRoundTrip(1024, true)
+	rt, err := microbench.MessageRoundTrip(nil, 1024, true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,9 +80,7 @@ func BenchmarkFig4Message(b *testing.B) {
 // BenchmarkTab1C90PIC regenerates Table 1.
 func BenchmarkTab1C90PIC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Tab1(opts(b)); err != nil {
-			b.Fatal(err)
-		}
+		runExp(b, nil, "tab1", opts(b))
 	}
 	sec, rate := pic.C90Reference(pic.Small, 500)
 	b.ReportMetric(rate, "sim-C90-Mflops")
@@ -89,14 +90,12 @@ func BenchmarkTab1C90PIC(b *testing.B) {
 // BenchmarkFig6PIC regenerates Figure 6.
 func BenchmarkFig6PIC(b *testing.B) {
 	o := opts(b)
-	ev0 := sim.TotalEvents()
+	env := &machine.Env{}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig6(o); err != nil {
-			b.Fatal(err)
-		}
+		runExp(b, env, "fig6", o)
 	}
-	reportEventRate(b, sim.TotalEvents()-ev0)
-	r, err := pic.RunShared(pic.Small, 16, o.PICSteps)
+	reportEventRate(b, env)
+	r, err := pic.RunShared(nil, pic.Small, 16, o.PICSteps)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -106,14 +105,12 @@ func BenchmarkFig6PIC(b *testing.B) {
 // BenchmarkFig7FEM regenerates Figure 7.
 func BenchmarkFig7FEM(b *testing.B) {
 	o := opts(b)
-	ev0 := sim.TotalEvents()
+	env := &machine.Env{}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig7(o); err != nil {
-			b.Fatal(err)
-		}
+		runExp(b, env, "fig7", o)
 	}
-	reportEventRate(b, sim.TotalEvents()-ev0)
-	r, err := fem.Run(fem.SmallGrid, fem.GatherScatter, 16, o.AppSteps)
+	reportEventRate(b, env)
+	r, err := fem.Run(nil, fem.SmallGrid, fem.GatherScatter, 16, o.AppSteps)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -124,16 +121,16 @@ func BenchmarkFig7FEM(b *testing.B) {
 // full 128-CPU machine the authors did not have.
 func BenchmarkFig6PIC128(b *testing.B) {
 	o := opts(b)
-	ev0 := sim.TotalEvents()
+	env := &machine.Env{}
 	var r pic.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = pic.RunShared(pic.Small, 128, o.PICSteps)
+		r, err = pic.RunShared(env, pic.Small, 128, o.PICSteps)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	reportEventRate(b, sim.TotalEvents()-ev0)
+	reportEventRate(b, env)
 	b.ReportMetric(r.Mflops, "sim-Mflops-128cpu")
 }
 
@@ -141,16 +138,16 @@ func BenchmarkFig6PIC128(b *testing.B) {
 // machine (see BenchmarkFig6PIC128).
 func BenchmarkFig7FEM128(b *testing.B) {
 	o := opts(b)
-	ev0 := sim.TotalEvents()
+	env := &machine.Env{}
 	var r fem.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = fem.Run(fem.LargeGrid, fem.GatherScatter, 128, o.AppSteps)
+		r, err = fem.Run(env, fem.LargeGrid, fem.GatherScatter, 128, o.AppSteps)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	reportEventRate(b, sim.TotalEvents()-ev0)
+	reportEventRate(b, env)
 	b.ReportMetric(r.UsefulMflops, "sim-useful-Mflops-128cpu")
 }
 
@@ -159,9 +156,7 @@ func BenchmarkFig7FEM128(b *testing.B) {
 func BenchmarkFig8NBody(b *testing.B) {
 	o := opts(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig8(o); err != nil {
-			b.Fatal(err)
-		}
+		runExp(b, nil, "fig8", o)
 	}
 	w := nbody.CountWorkload(32768, o.NBodySample, o.Seed)
 	r, err := nbody.Run(w, 16, 2, o.AppSteps)
@@ -174,18 +169,14 @@ func BenchmarkFig8NBody(b *testing.B) {
 // BenchmarkAblations runs the design-choice ablation suite (extension).
 func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Ablate(opts(b)); err != nil {
-			b.Fatal(err)
-		}
+		runExp(b, nil, "ablate", opts(b))
 	}
 }
 
 // BenchmarkAMR runs the adaptive-mesh-refinement extension.
 func BenchmarkAMR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AMR(opts(b)); err != nil {
-			b.Fatal(err)
-		}
+		runExp(b, nil, "amr", opts(b))
 	}
 }
 
@@ -193,11 +184,9 @@ func BenchmarkAMR(b *testing.B) {
 func BenchmarkTab2PPM(b *testing.B) {
 	o := opts(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Tab2(o); err != nil {
-			b.Fatal(err)
-		}
+		runExp(b, nil, "tab2", o)
 	}
-	r, err := ppm.Run(ppm.Table2A, 8, o.AppSteps)
+	r, err := ppm.Run(nil, ppm.Table2A, 8, o.AppSteps)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -30,7 +30,7 @@ import (
 
 	"spp1000/internal/counters"
 	"spp1000/internal/experiments"
-	"spp1000/internal/runner"
+	"spp1000/internal/machine"
 	"spp1000/internal/snapshot"
 )
 
@@ -49,7 +49,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sppbench: -par must be >= 0 (0 = all cores, 1 = serial), got %d\n", *par)
 		os.Exit(2)
 	}
-	runner.SetWorkers(*par)
+	env := &machine.Env{Workers: *par}
+	ctx := context.Background()
 
 	opts := experiments.Defaults()
 	if *quick {
@@ -57,7 +58,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		report, err := experiments.BuildReport(opts)
+		report, err := experiments.BuildReport(env, opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sppbench: %v\n", err)
 			os.Exit(1)
@@ -106,7 +107,7 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		outs, _, err := experiments.RunCheckpointed(context.Background(), names, opts, prior, *every,
+		outs, _, err := experiments.RunCheckpointed(ctx, env, names, opts, prior, *every,
 			func(c *snapshot.Checkpoint) error { return snapshot.WriteFile(path, c) })
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sppbench: %v (completed progress is checkpointed in %s)\n", err, path)
@@ -117,34 +118,26 @@ func main() {
 		}
 		return
 	}
+	// With -counters each experiment runs in its own Env with its own
+	// collector, through the same pool as the plain path. The merge is
+	// commutative, so every table is byte-identical at any -par.
+	var regions []*machine.Env
 	if *withCounters {
-		// Attribute counters per experiment: run the experiments one at
-		// a time, each with its own collector sink. Every machine built
-		// while the sink is attached enables its counters and publishes
-		// when its run completes; the merge is commutative, so the table
-		// is byte-identical for any -par (sweep points inside each
-		// experiment still fan out across the pool).
-		for _, name := range names {
-			col := counters.NewCollector()
-			counters.Attach(col)
-			out, err := experiments.Run(name, opts)
-			counters.Detach(col)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sppbench: %s: %v\n", name, err)
-				os.Exit(1)
-			}
-			fmt.Printf("=== %s ===\n%s\n", name, out)
-			fmt.Print(col.Snapshot().Render(fmt.Sprintf("PMU counters: %s", name)))
-			fmt.Println()
+		regions = make([]*machine.Env, len(names))
+		for i := range regions {
+			regions[i] = &machine.Env{Workers: *par, Counters: counters.NewCollector()}
 		}
-		return
 	}
-	outs, err := experiments.RunMany(names, opts)
+	outs, err := experiments.RunManyCtx(ctx, env, names, opts, regions)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sppbench: %v\n", err)
 		os.Exit(1)
 	}
 	for i, name := range names {
 		fmt.Printf("=== %s ===\n%s\n", name, outs[i])
+		if regions != nil {
+			fmt.Print(regions[i].Counters.Snapshot().Render(fmt.Sprintf("PMU counters: %s", name)))
+			fmt.Println()
+		}
 	}
 }

@@ -61,11 +61,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sppd: -job-timeout must be >= 0 (got %v)\n", *jobTimeout)
 		os.Exit(2)
 	}
-	runner.SetWorkers(*par)
-
 	cfg := service.Config{
 		QueueDepth:    *queue,
 		Workers:       *jobs,
+		Par:           *par,
 		CacheCapacity: *cacheCap,
 		JobTimeout:    *jobTimeout,
 	}
@@ -96,7 +95,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("sppd: listening on %s (queue %d, %d concurrent jobs, %d host workers)",
-			*addr, *queue, *jobs, runner.Workers())
+			*addr, *queue, *jobs, runner.Width(*par))
 		errc <- httpSrv.ListenAndServe()
 	}()
 

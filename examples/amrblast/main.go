@@ -53,7 +53,7 @@ func main() {
 		}
 		return 1, 0, 0, 0.5
 	})
-	r, err := amr.Run(d2, 8, 12)
+	r, err := amr.Run(nil, d2, 8, 12)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func main() {
 	fmt.Printf("\nReduceSum(0..9999) = %.0f in %v (8 threads)\n", sum, elapsed)
 
 	// The §3.2 false-sharing warning, quantified.
-	shared, private, err := directives.FalseSharing(300)
+	shared, private, err := directives.FalseSharing(nil, 300)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,11 +33,11 @@ func main() {
 	// --- Paper-scale timing on the simulated machine (Fig. 6). ---
 	fmt.Println("\nSPP-1000 timing, small problem (32x32x32, 294912 particles):")
 	for _, p := range []int{1, 8, 16} {
-		shared, err := pic.RunShared(pic.Small, p, 10)
+		shared, err := pic.RunShared(nil, pic.Small, p, 10)
 		if err != nil {
 			log.Fatal(err)
 		}
-		pvmr, err := pic.RunPVM(pic.Small, p, 10)
+		pvmr, err := pic.RunPVM(nil, pic.Small, p, 10)
 		if err != nil {
 			log.Fatal(err)
 		}

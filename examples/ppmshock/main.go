@@ -55,7 +55,7 @@ func main() {
 	fmt.Printf("ghost bytes exchanged: %d\n\n", d.ExchangedBytes)
 
 	// One Table 2 configuration on the simulated machine.
-	r, err := ppm.Run(ppm.Table2A, 8, 4)
+	r, err := ppm.Run(nil, ppm.Table2A, 8, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

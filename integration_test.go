@@ -22,11 +22,11 @@ import (
 // than similar functions local to an individual processor ensemble."
 func TestAbstractClaim(t *testing.T) {
 	// Fork-join: local vs cross-hypernode team.
-	local, err := microbench.ForkJoinCost(2, 8, threads.HighLocality)
+	local, err := microbench.ForkJoinCost(nil, 2, 8, threads.HighLocality)
 	if err != nil {
 		t.Fatal(err)
 	}
-	global, err := microbench.ForkJoinCost(2, 8, threads.Uniform)
+	global, err := microbench.ForkJoinCost(nil, 2, 8, threads.Uniform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +38,11 @@ func TestAbstractClaim(t *testing.T) {
 		t.Errorf("global fork-join (%v) should still be low in absolute time", global)
 	}
 	// Message passing: local vs global round trip.
-	lRT, err := microbench.MessageRoundTrip(1024, false)
+	lRT, err := microbench.MessageRoundTrip(nil, 1024, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gRT, err := microbench.MessageRoundTrip(1024, true)
+	gRT, err := microbench.MessageRoundTrip(nil, 1024, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestAbstractClaim(t *testing.T) {
 // §6: "a single hypernode sustained performance approached that of a
 // single head of a CRI C-90" — and crossing at 16 CPUs for PIC.
 func TestC90ComparisonClaim(t *testing.T) {
-	r16, err := pic.RunShared(pic.Small, 16, 5)
+	r16, err := pic.RunShared(nil, pic.Small, 16, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestC90ComparisonClaim(t *testing.T) {
 		t.Errorf("16-CPU PIC (%.0f) should approach the C90 head (%.0f)", r16.Mflops, c90)
 	}
 	// FEM: the C90 line stays above the gather-scatter coding at 16.
-	f16, err := fem.Run(fem.SmallGrid, fem.GatherScatter, 16, 2)
+	f16, err := fem.Run(nil, fem.SmallGrid, fem.GatherScatter, 16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +85,11 @@ func TestC90ComparisonClaim(t *testing.T) {
 // degrade between 8 and 16 processors."
 func TestScalingRangeClaim(t *testing.T) {
 	// Excellent: PPM at 8 CPUs.
-	p1, err := ppm.Run(ppm.Table2A, 1, 2)
+	p1, err := ppm.Run(nil, ppm.Table2A, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p8, err := ppm.Run(ppm.Table2A, 8, 2)
+	p8, err := ppm.Run(nil, ppm.Table2A, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +97,11 @@ func TestScalingRangeClaim(t *testing.T) {
 		t.Errorf("PPM efficiency at 8 CPUs = %.2f, want better than 0.8", eff)
 	}
 	// Degradation between 8 and 16: the FEM dip at 9.
-	f8, err := fem.Run(fem.SmallGrid, fem.GatherScatter, 8, 2)
+	f8, err := fem.Run(nil, fem.SmallGrid, fem.GatherScatter, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f9, err := fem.Run(fem.SmallGrid, fem.GatherScatter, 9, 2)
+	f9, err := fem.Run(nil, fem.SmallGrid, fem.GatherScatter, 9, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,11 @@ func TestScalingRangeClaim(t *testing.T) {
 // §3.1: "a PVM implementation of an application can achieve almost one
 // half the performance of a shared memory implementation."
 func TestPVMHalfClaim(t *testing.T) {
-	s, err := pic.RunShared(pic.Small, 8, 5)
+	s, err := pic.RunShared(nil, pic.Small, 8, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := pic.RunPVM(pic.Small, 8, 5)
+	p, err := pic.RunPVM(nil, pic.Small, 8, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestTreeCodeClaims(t *testing.T) {
 
 // Fig. 2 headline numbers as a single sweep.
 func TestFig2Claims(t *testing.T) {
-	hl, un, err := microbench.ForkJoinSweep(2, 16)
+	hl, un, err := microbench.ForkJoinSweep(nil, 2, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

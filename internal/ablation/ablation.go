@@ -15,6 +15,7 @@
 package ablation
 
 import (
+	"context"
 	"fmt"
 
 	"spp1000/internal/apps/fem"
@@ -40,12 +41,12 @@ type BarrierComparison struct {
 
 // CompareBarrier runs both barriers at the given team size on two
 // hypernodes.
-func CompareBarrier(n int) (BarrierComparison, error) {
+func CompareBarrier(env *machine.Env, n int) (BarrierComparison, error) {
 	out := BarrierComparison{N: n}
 
 	// Hardware: the §4.2 semaphore + cached-spin barrier.
 	{
-		m, err := machine.New(machine.Config{Hypernodes: 2})
+		m, err := machine.New(machine.Config{Hypernodes: 2, Env: env})
 		if err != nil {
 			return out, err
 		}
@@ -66,7 +67,7 @@ func CompareBarrier(n int) (BarrierComparison, error) {
 	// waits for the release message — the portable alternative on a
 	// machine without hardware synchronization support.
 	{
-		m, err := machine.New(machine.Config{Hypernodes: 2})
+		m, err := machine.New(machine.Config{Hypernodes: 2, Env: env})
 		if err != nil {
 			return out, err
 		}
@@ -129,9 +130,9 @@ type BufferComparison struct {
 // CompareGlobalBuffer reads the same 64 remote lines eight times over
 // (with a cache too small to hold them, so every read reaches the
 // memory system).
-func CompareGlobalBuffer() (BufferComparison, error) {
+func CompareGlobalBuffer(env *machine.Env) (BufferComparison, error) {
 	run := func(disable bool) (sim.Cycles, error) {
-		m, err := machine.New(machine.Config{Hypernodes: 2, CacheLines: 16})
+		m, err := machine.New(machine.Config{Hypernodes: 2, CacheLines: 16, Env: env})
 		if err != nil {
 			return 0, err
 		}
@@ -173,9 +174,9 @@ type RingComparison struct {
 
 // CompareRings streams 128 distinct remote lines from each of four CPUs
 // (one per FU, so with four rings each has a private ring).
-func CompareRings() (RingComparison, error) {
+func CompareRings(env *machine.Env) (RingComparison, error) {
 	run := func(single bool) (sim.Cycles, error) {
-		m, err := machine.New(machine.Config{Hypernodes: 2, CacheLines: 16})
+		m, err := machine.New(machine.Config{Hypernodes: 2, CacheLines: 16, Env: env})
 		if err != nil {
 			return 0, err
 		}
@@ -230,17 +231,17 @@ type ScheduleComparison struct {
 }
 
 // CompareScheduling runs both schedulers on a counted workload.
-func CompareScheduling(w *nbody.Workload, procs, hypernodes int) (ScheduleComparison, error) {
+func CompareScheduling(env *machine.Env, w *nbody.Workload, procs, hypernodes int) (ScheduleComparison, error) {
 	out := ScheduleComparison{N: w.N, Procs: procs}
 	var err error
 	if out.Imbalance, err = w.ImbalanceRatio(procs); err != nil {
 		return out, err
 	}
-	s, err := nbody.Run(w, procs, hypernodes, 2)
+	s, err := nbody.RunEnv(env, w, procs, hypernodes, 2)
 	if err != nil {
 		return out, err
 	}
-	d, err := nbody.RunDynamic(w, procs, hypernodes, 2)
+	d, err := nbody.RunDynamic(env, w, procs, hypernodes, 2)
 	if err != nil {
 		return out, err
 	}
@@ -263,13 +264,13 @@ type PowerOfTwoComparison struct {
 // ComparePowerOfTwo measures both configurations on the small PIC
 // problem. Applications written for powers of two cannot use the
 // 15-thread option — this quantifies what that rigidity costs.
-func ComparePowerOfTwo() (PowerOfTwoComparison, error) {
+func ComparePowerOfTwo(env *machine.Env) (PowerOfTwoComparison, error) {
 	var out PowerOfTwoComparison
-	r15, err := pic.RunShared(pic.Small, 15, 5)
+	r15, err := pic.RunShared(env, pic.Small, 15, 5)
 	if err != nil {
 		return out, err
 	}
-	r16, err := pic.RunShared(pic.Small, 16, 5)
+	r16, err := pic.RunShared(env, pic.Small, 16, 5)
 	if err != nil {
 		return out, err
 	}
@@ -288,11 +289,11 @@ type LightweightComparison struct {
 }
 
 // CompareLightweight runs 10 16-thread regions of small bodies both ways.
-func CompareLightweight() (LightweightComparison, error) {
+func CompareLightweight(env *machine.Env) (LightweightComparison, error) {
 	out := LightweightComparison{Regions: 10}
 	body := func(th *machine.Thread, tid int) { th.ComputeCycles(500) }
 
-	m1, err := machine.New(machine.Config{Hypernodes: 2})
+	m1, err := machine.New(machine.Config{Hypernodes: 2, Env: env})
 	if err != nil {
 		return out, err
 	}
@@ -307,7 +308,7 @@ func CompareLightweight() (LightweightComparison, error) {
 		return out, err
 	}
 
-	m2, err := machine.New(machine.Config{Hypernodes: 2})
+	m2, err := machine.New(machine.Config{Hypernodes: 2, Env: env})
 	if err != nil {
 		return out, err
 	}
@@ -328,16 +329,16 @@ func CompareLightweight() (LightweightComparison, error) {
 
 // Report runs the full ablation suite and renders it. The studies are
 // mutually independent (every comparison builds its own machines), so
-// they are dispatched through the host worker pool as sections and
+// they are dispatched through env's host worker pool as sections and
 // concatenated in the fixed report order.
-func Report() (string, error) {
-	parts, err := runner.Sections(
+func Report(env *machine.Env) (string, error) {
+	parts, err := runner.Sections(env.Width(),
 		func() (string, error) {
 			tb := stats.NewTable("Ablation: hardware vs. software synchronization (LILO µs)",
 				"threads", "hardware barrier", "software (PVM) barrier", "ratio")
 			ns := []int{4, 8, 16}
-			cs, err := runner.Map(len(ns), func(i int) (BarrierComparison, error) {
-				return CompareBarrier(ns[i])
+			cs, err := runner.MapCtx(context.Background(), env.Width(), len(ns), func(i int) (BarrierComparison, error) {
+				return CompareBarrier(env, ns[i])
 			})
 			if err != nil {
 				return "", err
@@ -350,7 +351,7 @@ func Report() (string, error) {
 			return tb.Render() + "\n", nil
 		},
 		func() (string, error) {
-			buf, err := CompareGlobalBuffer()
+			buf, err := CompareGlobalBuffer(env)
 			if err != nil {
 				return "", err
 			}
@@ -360,7 +361,7 @@ func Report() (string, error) {
 				float64(buf.WithoutBuffer)/float64(buf.WithBuffer)), nil
 		},
 		func() (string, error) {
-			rings, err := CompareRings()
+			rings, err := CompareRings(env)
 			if err != nil {
 				return "", err
 			}
@@ -371,7 +372,7 @@ func Report() (string, error) {
 		},
 		func() (string, error) {
 			w := nbody.CountWorkload(32768, 64, 1)
-			sched, err := CompareScheduling(w, 16, 2)
+			sched, err := CompareScheduling(env, w, 16, 2)
 			if err != nil {
 				return "", err
 			}
@@ -381,7 +382,7 @@ func Report() (string, error) {
 				100*(sched.Dynamic/sched.Static-1)), nil
 		},
 		func() (string, error) {
-			pow2, err := ComparePowerOfTwo()
+			pow2, err := ComparePowerOfTwo(env)
 			if err != nil {
 				return "", err
 			}
@@ -391,9 +392,9 @@ func Report() (string, error) {
 				"  (static power-of-two codes cannot take the 15-thread option)\n\n",
 				pow2.Proc16, pow2.Proc15), nil
 		},
-		ComparePlacement,
+		func() (string, error) { return ComparePlacement(env) },
 		func() (string, error) {
-			lw, err := CompareLightweight()
+			lw, err := CompareLightweight(env)
 			if err != nil {
 				return "", err
 			}
@@ -416,17 +417,17 @@ func Report() (string, error) {
 // the non-operational block-shared placement have bought the FEM code?
 // It reruns the Fig. 7 sweep around the 8→9 processor dip with the
 // partitions homed on their threads' hypernodes.
-func ComparePlacement() (string, error) {
+func ComparePlacement(env *machine.Env) (string, error) {
 	tb := stats.NewTable("Study: FEM with operational block-shared placement (useful Mflop/s)",
 		"procs", "near-shared@hn0 (as measured)", "block-shared (counterfactual)")
 	ps := []int{8, 9, 12, 16}
 	type pair struct{ base, better float64 }
-	pts, err := runner.Map(len(ps), func(i int) (pair, error) {
-		base, err := fem.RunPlaced(fem.SmallGrid, fem.GatherScatter, ps[i], 3, fem.HostedNearShared)
+	pts, err := runner.MapCtx(context.Background(), env.Width(), len(ps), func(i int) (pair, error) {
+		base, err := fem.RunPlaced(env, fem.SmallGrid, fem.GatherScatter, ps[i], 3, fem.HostedNearShared)
 		if err != nil {
 			return pair{}, err
 		}
-		better, err := fem.RunPlaced(fem.SmallGrid, fem.GatherScatter, ps[i], 3, fem.BlockSharedPartition)
+		better, err := fem.RunPlaced(env, fem.SmallGrid, fem.GatherScatter, ps[i], 3, fem.BlockSharedPartition)
 		if err != nil {
 			return pair{}, err
 		}

@@ -10,7 +10,7 @@ import (
 
 func TestHardwareBarrierBeatsSoftware(t *testing.T) {
 	for _, n := range []int{4, 8, 16} {
-		c, err := CompareBarrier(n)
+		c, err := CompareBarrier(nil, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -22,11 +22,11 @@ func TestHardwareBarrierBeatsSoftware(t *testing.T) {
 		}
 	}
 	// The gap widens with more threads (the coordinator serializes).
-	c8, err := CompareBarrier(8)
+	c8, err := CompareBarrier(nil, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c16, err := CompareBarrier(16)
+	c16, err := CompareBarrier(nil, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestHardwareBarrierBeatsSoftware(t *testing.T) {
 }
 
 func TestGlobalBufferWins(t *testing.T) {
-	c, err := CompareGlobalBuffer()
+	c, err := CompareGlobalBuffer(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestGlobalBufferWins(t *testing.T) {
 }
 
 func TestFourRingsBeatOne(t *testing.T) {
-	c, err := CompareRings()
+	c, err := CompareRings(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestFourRingsBeatOne(t *testing.T) {
 
 func TestSchedulingComparison(t *testing.T) {
 	w := nbody.CountWorkload(32768, 48, 1)
-	c, err := CompareScheduling(w, 16, 2)
+	c, err := CompareScheduling(nil, w, 16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSchedulingComparison(t *testing.T) {
 }
 
 func TestPowerOfTwoStudy(t *testing.T) {
-	c, err := ComparePowerOfTwo()
+	c, err := ComparePowerOfTwo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,11 @@ func TestPowerOfTwoStudy(t *testing.T) {
 
 func TestPlacementCounterfactual(t *testing.T) {
 	// Block-shared placement must remove the FEM 8→9 dip.
-	base9, err := fem.RunPlaced(fem.SmallGrid, fem.GatherScatter, 9, 2, fem.HostedNearShared)
+	base9, err := fem.RunPlaced(nil, fem.SmallGrid, fem.GatherScatter, 9, 2, fem.HostedNearShared)
 	if err != nil {
 		t.Fatal(err)
 	}
-	block9, err := fem.RunPlaced(fem.SmallGrid, fem.GatherScatter, 9, 2, fem.BlockSharedPartition)
+	block9, err := fem.RunPlaced(nil, fem.SmallGrid, fem.GatherScatter, 9, 2, fem.BlockSharedPartition)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestPlacementCounterfactual(t *testing.T) {
 		t.Errorf("block-shared at 9 procs (%v) should clearly beat near-shared (%v)",
 			block9.UsefulMflops, base9.UsefulMflops)
 	}
-	block8, err := fem.RunPlaced(fem.SmallGrid, fem.GatherScatter, 8, 2, fem.BlockSharedPartition)
+	block8, err := fem.RunPlaced(nil, fem.SmallGrid, fem.GatherScatter, 8, 2, fem.BlockSharedPartition)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestPlacementCounterfactual(t *testing.T) {
 }
 
 func TestReportRenders(t *testing.T) {
-	out, err := Report()
+	out, err := Report(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestReportRenders(t *testing.T) {
 }
 
 func TestScaleReport(t *testing.T) {
-	out, err := ScaleReport()
+	out, err := ScaleReport(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

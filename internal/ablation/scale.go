@@ -1,9 +1,11 @@
 package ablation
 
 import (
+	"context"
 	"fmt"
 
 	"spp1000/internal/apps/nbody"
+	"spp1000/internal/machine"
 	"spp1000/internal/microbench"
 	"spp1000/internal/runner"
 	"spp1000/internal/sim"
@@ -15,8 +17,8 @@ import (
 // "running on larger configuration platforms." The testbed had two
 // hypernodes; the architecture allows sixteen (128 processors). The
 // sweep extrapolates the §4 primitives and the tree code to the full
-// machine on the simulator.
-func ScaleReport() (string, error) {
+// machine on the simulator, reporting to env.
+func ScaleReport(env *machine.Env) (string, error) {
 	configs := []struct {
 		hypernodes int
 		threads    int
@@ -25,13 +27,13 @@ func ScaleReport() (string, error) {
 	}
 
 	type prim struct{ fj, lifo, lilo sim.Cycles }
-	prims, err := runner.Map(len(configs), func(i int) (prim, error) {
+	prims, err := runner.MapCtx(context.Background(), env.Width(), len(configs), func(i int) (prim, error) {
 		cfg := configs[i]
-		t, err := microbench.ForkJoinCost(cfg.hypernodes, cfg.threads, threads.HighLocality)
+		t, err := microbench.ForkJoinCost(env, cfg.hypernodes, cfg.threads, threads.HighLocality)
 		if err != nil {
 			return prim{}, err
 		}
-		lifo, lilo, err := microbench.BarrierCost(cfg.hypernodes, cfg.threads, threads.HighLocality)
+		lifo, lilo, err := microbench.BarrierCost(env, cfg.hypernodes, cfg.threads, threads.HighLocality)
 		if err != nil {
 			return prim{}, err
 		}
@@ -55,8 +57,8 @@ func ScaleReport() (string, error) {
 	// 64 threads). runs[0] is the 1-CPU baseline.
 	w := nbody.CountWorkload(262144, 64, 1)
 	runs := []struct{ p, hn int }{{1, 1}, {8, 1}, {16, 2}, {32, 4}, {64, 8}}
-	res, err := runner.Map(len(runs), func(i int) (nbody.Result, error) {
-		return nbody.Run(w, runs[i].p, runs[i].hn, 2)
+	res, err := runner.MapCtx(context.Background(), env.Width(), len(runs), func(i int) (nbody.Result, error) {
+		return nbody.RunEnv(env, w, runs[i].p, runs[i].hn, 2)
 	})
 	if err != nil {
 		return "", err

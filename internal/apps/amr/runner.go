@@ -38,12 +38,12 @@ const zoneFlops = 2 * 260
 // the structure a PARAMESH-style port to the SPP-1000 would have.
 // The physics advances for real; the machine time comes from playing
 // each step's measured block count through the cost model.
-func Run(d *Domain, procs, steps int) (Result, error) {
+func Run(env *machine.Env, d *Domain, procs, steps int) (Result, error) {
 	hn := (procs + topology.CPUsPerNode - 1) / topology.CPUsPerNode
 	if hn < 1 {
 		hn = 1
 	}
-	m, err := machine.New(machine.Config{Hypernodes: hn})
+	m, err := machine.New(machine.Config{Hypernodes: hn, Env: env})
 	if err != nil {
 		return Result{}, err
 	}

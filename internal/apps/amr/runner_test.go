@@ -14,7 +14,7 @@ func shockDomain(t *testing.T) *Domain {
 }
 
 func TestRunProducesTiming(t *testing.T) {
-	r, err := Run(shockDomain(t), 8, 8)
+	r, err := Run(nil, shockDomain(t), 8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,11 +31,11 @@ func TestRunProducesTiming(t *testing.T) {
 }
 
 func TestRunScalesWithProcs(t *testing.T) {
-	r1, err := Run(shockDomain(t), 1, 6)
+	r1, err := Run(nil, shockDomain(t), 1, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := Run(shockDomain(t), 8, 6)
+	r8, err := Run(nil, shockDomain(t), 8, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,7 +227,7 @@ func TestMaxWavespeedPositive(t *testing.T) {
 
 func TestRunShapeTargets(t *testing.T) {
 	// Fig. 7 shape checks at 3 steps.
-	r1, err := Run(SmallGrid, GatherScatter, 1, 3)
+	r1, err := Run(nil, SmallGrid, GatherScatter, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestRunShapeTargets(t *testing.T) {
 	if r1.PointUpdatesPerUs < 0.03 || r1.PointUpdatesPerUs > 0.065 {
 		t.Errorf("coding-1 single-CPU rate = %.4f pt/µs, want ≈0.042", r1.PointUpdatesPerUs)
 	}
-	v1, err := Run(SmallGrid, VectorStyle, 1, 3)
+	v1, err := Run(nil, SmallGrid, VectorStyle, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,15 +247,15 @@ func TestRunShapeTargets(t *testing.T) {
 		t.Error("vector-style coding should be faster on one CPU")
 	}
 	// Non-monotonic scaling between 8 and 9 processors (Fig. 7).
-	r8, err := Run(SmallGrid, GatherScatter, 8, 3)
+	r8, err := Run(nil, SmallGrid, GatherScatter, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r9, err := Run(SmallGrid, GatherScatter, 9, 3)
+	r9, err := Run(nil, SmallGrid, GatherScatter, 9, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r16, err := Run(SmallGrid, GatherScatter, 16, 3)
+	r16, err := Run(nil, SmallGrid, GatherScatter, 16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

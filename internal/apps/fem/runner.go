@@ -171,19 +171,19 @@ func chunkCycles(p topology.Params, grid [2]int, coding Coding, procs, tid int, 
 // (§6), so threads on the second hypernode import their partition's
 // state over the rings every step. That asymmetry is what produces the
 // non-monotonic dip between 8 and 9 processors in Fig. 7.
-func Run(grid [2]int, coding Coding, procs, steps int) (Result, error) {
-	return RunPlaced(grid, coding, procs, steps, HostedNearShared)
+func Run(env *machine.Env, grid [2]int, coding Coding, procs, steps int) (Result, error) {
+	return RunPlaced(env, grid, coding, procs, steps, HostedNearShared)
 }
 
 // RunPlaced is Run with an explicit data placement — the simulator can
 // measure the configuration the 1995 system software could not yet
 // provide.
-func RunPlaced(grid [2]int, coding Coding, procs, steps int, placement DataPlacement) (Result, error) {
+func RunPlaced(env *machine.Env, grid [2]int, coding Coding, procs, steps int, placement DataPlacement) (Result, error) {
 	hn := (procs + topology.CPUsPerNode - 1) / topology.CPUsPerNode
 	if hn < 1 {
 		hn = 1
 	}
-	m, err := machine.New(machine.Config{Hypernodes: hn})
+	m, err := machine.New(machine.Config{Hypernodes: hn, Env: env})
 	if err != nil {
 		return Result{}, err
 	}

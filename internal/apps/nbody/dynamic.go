@@ -20,8 +20,8 @@ import (
 // improves — the heavy central blocks of the Morton-sorted Plummer
 // sphere no longer pin to one thread — at the price of one uncached RMW
 // per block, which serializes at the counter's home memory bank.
-func RunDynamic(w *Workload, procs, hypernodes, steps int) (Result, error) {
-	m, err := machine.New(machine.Config{Hypernodes: hypernodes})
+func RunDynamic(env *machine.Env, w *Workload, procs, hypernodes, steps int) (Result, error) {
+	m, err := machine.New(machine.Config{Hypernodes: hypernodes, Env: env})
 	if err != nil {
 		return Result{}, err
 	}

@@ -16,7 +16,7 @@ func TestPVMSerialFasterSharedParallelBetter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := RunPVM(w, 1, 1, 2)
+	p1, err := RunPVM(nil, w, 1, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestPVMSerialFasterSharedParallelBetter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p16, err := RunPVM(w, 16, 2, 2)
+	p16, err := RunPVM(nil, w, 16, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestPVMSerialFasterSharedParallelBetter(t *testing.T) {
 
 func TestPVMValidation(t *testing.T) {
 	w := countedWorkload(t)
-	if _, err := RunPVM(w, 3, 1, 1); err == nil {
+	if _, err := RunPVM(nil, w, 3, 1, 1); err == nil {
 		t.Fatal("procs=3 should be rejected")
 	}
 }
@@ -64,7 +64,7 @@ func TestDynamicMatchesStaticWhenBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := RunDynamic(w, 2, 1, 2)
+	d, err := RunDynamic(nil, w, 2, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestDynamicBeatsStaticUnderImbalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := RunDynamic(w, 16, 2, 2)
+	d, err := RunDynamic(nil, w, 16, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,11 +52,11 @@ func pvmForceChunk(w *Workload, inter int64) perfmodel.Chunk {
 // packs and exchanges the tree data its peers' traversals need (the
 // remote share of its interactions, derated by node reuse), then
 // computes its forces, then a tag-0 round synchronizes the step.
-func RunPVM(w *Workload, procs, hypernodes, steps int) (Result, error) {
+func RunPVM(env *machine.Env, w *Workload, procs, hypernodes, steps int) (Result, error) {
 	if blocks%procs != 0 {
 		return Result{}, fmt.Errorf("nbody: procs %d must divide %d", procs, blocks)
 	}
-	m, err := machine.New(machine.Config{Hypernodes: hypernodes})
+	m, err := machine.New(machine.Config{Hypernodes: hypernodes, Env: env})
 	if err != nil {
 		return Result{}, err
 	}

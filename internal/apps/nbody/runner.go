@@ -172,12 +172,18 @@ func forceChunk(p topology.Params, w *Workload, inter int64, hypernodes, procs i
 // Run times the shared-memory tree code: thread 0 rebuilds the tree each
 // step (the serial fraction), then every thread computes forces for its
 // contiguous particle block — the per-block loads coming from the real
-// measured traversals, so load imbalance is the genuine article.
+// measured traversals, so load imbalance is the genuine article. It is
+// RunEnv with no run environment: GOMAXPROCS workers, no counters.
 func Run(w *Workload, procs, hypernodes, steps int) (Result, error) {
+	return RunEnv(nil, w, procs, hypernodes, steps)
+}
+
+// RunEnv is Run on a machine that reports to env.
+func RunEnv(env *machine.Env, w *Workload, procs, hypernodes, steps int) (Result, error) {
 	if blocks%procs != 0 {
 		return Result{}, fmt.Errorf("nbody: procs %d must divide %d", procs, blocks)
 	}
-	m, err := machine.New(machine.Config{Hypernodes: hypernodes})
+	m, err := machine.New(machine.Config{Hypernodes: hypernodes, Env: env})
 	if err != nil {
 		return Result{}, err
 	}

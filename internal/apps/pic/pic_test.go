@@ -260,15 +260,15 @@ func TestDepositChargeProperty(t *testing.T) {
 func TestRunShapeTargets(t *testing.T) {
 	// Fig. 6 shape at reduced step count (timing is per-step uniform).
 	const steps = 5
-	s1, err := RunShared(Small, 1, steps)
+	s1, err := RunShared(nil, Small, 1, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s16, err := RunShared(Small, 16, steps)
+	s16, err := RunShared(nil, Small, 16, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p16, err := RunPVM(Small, 16, steps)
+	p16, err := RunPVM(nil, Small, 16, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestRunShapeTargets(t *testing.T) {
 		t.Errorf("16-CPU rate %.0f vs C90 %.0f: should be comparable", s16.Mflops, c90rate)
 	}
 	// Good single-hypernode scaling.
-	s8, err := RunShared(Small, 8, steps)
+	s8, err := RunShared(nil, Small, 8, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestRunShapeTargets(t *testing.T) {
 		t.Errorf("8-CPU efficiency = %.2f, want ≥0.8", eff)
 	}
 	// The large problem is slower per CPU (cache effect, §6).
-	l1, err := RunShared(Large, 1, steps)
+	l1, err := RunShared(nil, Large, 1, steps)
 	if err != nil {
 		t.Fatal(err)
 	}

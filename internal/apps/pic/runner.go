@@ -31,18 +31,18 @@ func hypernodesFor(procs int) int {
 }
 
 // machineFor builds a machine just large enough for the team (the paper
-// used a two-hypernode, 16-CPU system).
-func machineFor(procs int) (*machine.Machine, int, error) {
+// used a two-hypernode, 16-CPU system), reporting to env.
+func machineFor(env *machine.Env, procs int) (*machine.Machine, int, error) {
 	hn := hypernodesFor(procs)
-	m, err := machine.New(machine.Config{Hypernodes: hn})
+	m, err := machine.New(machine.Config{Hypernodes: hn, Env: env})
 	return m, hn, err
 }
 
 // RunShared times the shared-memory PIC variant: particle arrays
 // block-partitioned over threads, grids far-shared, the field solve
 // parallelized across threads, four barriers per step.
-func RunShared(size Size, procs, steps int) (Result, error) {
-	m, hn, err := machineFor(procs)
+func RunShared(env *machine.Env, size Size, procs, steps int) (Result, error) {
+	m, hn, err := machineFor(env, procs)
 	if err != nil {
 		return Result{}, err
 	}
@@ -80,8 +80,8 @@ func RunShared(size Size, procs, steps int) (Result, error) {
 // arrays partitioned over tasks, grids replicated per task in private
 // memory, the density all-reduced to task 0, the field solved there, and
 // the three field components broadcast back — all through ConvexPVM.
-func RunPVM(size Size, procs, steps int) (Result, error) {
-	m, hn, err := machineFor(procs)
+func RunPVM(env *machine.Env, size Size, procs, steps int) (Result, error) {
+	m, hn, err := machineFor(env, procs)
 	if err != nil {
 		return Result{}, err
 	}

@@ -325,7 +325,7 @@ func TestTiledValidation(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	res, err := Table2(2)
+	res, err := Table2(nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{120, 480, 4, 16}, 7, 1); err == nil {
+	if _, err := Run(nil, Config{120, 480, 4, 16}, 7, 1); err == nil {
 		t.Fatal("7 procs does not divide 64 tiles and should be rejected")
 	}
 }

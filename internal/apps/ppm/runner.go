@@ -1,6 +1,7 @@
 package ppm
 
 import (
+	"context"
 	"fmt"
 
 	"spp1000/internal/machine"
@@ -118,7 +119,7 @@ func tileChunk(tw, th int, hypernodes, procs int) perfmodel.Chunk {
 // Run times one Table 2 configuration on the simulated machine: tiles
 // are dealt to threads in blocks, each step is ghost exchange → global
 // dt reduction (a barrier) → per-tile sweeps → step barrier.
-func Run(cfg Config, procs, steps int) (Result, error) {
+func Run(env *machine.Env, cfg Config, procs, steps int) (Result, error) {
 	nt := cfg.TX * cfg.TY
 	if nt%procs != 0 {
 		return Result{}, fmt.Errorf("ppm: %d tiles not divisible by %d procs", nt, procs)
@@ -127,7 +128,7 @@ func Run(cfg Config, procs, steps int) (Result, error) {
 	if hn < 1 {
 		hn = 1
 	}
-	m, err := machine.New(machine.Config{Hypernodes: hn})
+	m, err := machine.New(machine.Config{Hypernodes: hn, Env: env})
 	if err != nil {
 		return Result{}, err
 	}
@@ -159,9 +160,9 @@ func Run(cfg Config, procs, steps int) (Result, error) {
 }
 
 // Table2 reproduces the paper's Table 2 rows. Each tiling × processor
-// count is an independent simulation; the rows run on the host worker
+// count is an independent simulation; the rows run on env's host worker
 // pool and come back in table order.
-func Table2(steps int) ([]Result, error) {
+func Table2(env *machine.Env, steps int) ([]Result, error) {
 	rows := []struct {
 		cfg   Config
 		procs int
@@ -170,7 +171,7 @@ func Table2(steps int) ([]Result, error) {
 		{Table2B, 1}, {Table2B, 2}, {Table2B, 4}, {Table2B, 8},
 		{Table2A, 1}, {Table2C, 4},
 	}
-	return runner.Map(len(rows), func(i int) (Result, error) {
-		return Run(rows[i].cfg, rows[i].procs, steps)
+	return runner.MapCtx(context.Background(), env.Width(), len(rows), func(i int) (Result, error) {
+		return Run(env, rows[i].cfg, rows[i].procs, steps)
 	})
 }

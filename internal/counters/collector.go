@@ -2,10 +2,7 @@
 
 package counters
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Collector is a mutex-guarded aggregation sink: many machines (running
 // concurrently on host worker goroutines) publish their per-machine
@@ -92,64 +89,25 @@ func (c *Collector) Snapshot() Snapshot {
 	return s
 }
 
-// The process-wide sink list. Attach/Detach are rare (per experiment or
-// per sppd job); Active is the hot check read by machine construction,
-// hence the atomic.
-var (
-	sinksMu sync.Mutex
-	sinks   []*Collector
-	nsinks  atomic.Int32
-)
-
-// Active reports whether any Collector is attached. machine.New consults
-// it to decide whether a new machine should carry a Registry at all, so
-// the default (no sinks) build path stays counter-free.
-func Active() bool { return nsinks.Load() > 0 }
-
-// Attach registers c to receive every subsequent Publish.
-func Attach(c *Collector) {
-	sinksMu.Lock()
-	defer sinksMu.Unlock()
-	sinks = append(sinks, c)
-	nsinks.Store(int32(len(sinks)))
-}
-
-// Detach removes c from the sink list. Publishes after Detach no longer
-// reach c; its accumulated totals remain readable.
-func Detach(c *Collector) {
-	sinksMu.Lock()
-	defer sinksMu.Unlock()
-	for i, s := range sinks {
-		if s == c {
-			sinks = append(sinks[:i], sinks[i+1:]...)
-			break
-		}
-	}
-	nsinks.Store(int32(len(sinks)))
-}
-
 // Publish folds the registry's not-yet-published deltas into every
-// attached Collector. Each counter remembers what it has published, so
+// sink (each non-nil). Each counter remembers what it has published, so
 // repeated Publish calls (a machine Run multiple times) never
-// double-count. Nil-safe and cheap with no sinks attached.
-func Publish(r *Registry) {
-	if r == nil || !Active() {
-		return
-	}
-	sinksMu.Lock()
-	defer sinksMu.Unlock()
-	if len(sinks) == 0 {
+// double-count. With no sink (a run with no counter sink) nothing is
+// published and the registry's deltas stay pending. The registry
+// belongs to one machine, so only the sinks are locked.
+func Publish(r *Registry, sinks ...*Collector) {
+	if r == nil || len(sinks) == 0 {
 		return
 	}
 	for name, g := range r.groups {
 		var dc map[string]int64
-		for cn, c := range g.counters {
-			if d := c.v - c.flushed; d != 0 {
+		for cn, ctr := range g.counters {
+			if d := ctr.v - ctr.flushed; d != 0 {
 				if dc == nil {
 					dc = make(map[string]int64)
 				}
 				dc[cn] = d
-				c.flushed = c.v
+				ctr.flushed = ctr.v
 			}
 		}
 		var dh map[string]HistogramValue
@@ -173,10 +131,10 @@ func Publish(r *Registry) {
 		if dc == nil && dh == nil {
 			continue
 		}
-		for _, sink := range sinks {
-			sink.mu.Lock()
-			sink.merge(name, dc, dh)
-			sink.mu.Unlock()
+		for _, c := range sinks {
+			c.mu.Lock()
+			c.merge(name, dc, dh)
+			c.mu.Unlock()
 		}
 	}
 }

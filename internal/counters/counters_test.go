@@ -152,15 +152,13 @@ func TestPublishDeltaSemantics(t *testing.T) {
 	c := r.Group("g").Counter("x")
 	h := r.Group("g").Histogram("hh")
 	sink := NewCollector()
-	Attach(sink)
-	defer Detach(sink)
 
 	c.Add(5)
 	h.Observe(2)
-	Publish(r)
+	Publish(r, sink)
 	c.Add(3)
-	Publish(r)
-	Publish(r) // nothing new: must not double-count
+	Publish(r, sink)
+	Publish(r, sink) // nothing new: must not double-count
 
 	s := sink.Snapshot()
 	if got := s.Counter("g", "x"); got != 8 {
@@ -171,45 +169,37 @@ func TestPublishDeltaSemantics(t *testing.T) {
 	}
 }
 
-func TestAttachDetachActive(t *testing.T) {
-	if Active() {
-		t.Fatal("no sinks expected at test start")
-	}
-	a, b := NewCollector(), NewCollector()
-	Attach(a)
-	Attach(b)
-	if !Active() {
-		t.Fatal("Active must be true with sinks attached")
-	}
+// TestPublishTargetsItsSinks: a registry's deltas reach only the
+// collectors they are published to, each of them in full, and with no
+// collector (a run with no counter sink) nothing is published and the
+// deltas stay pending.
+func TestPublishTargetsItsSinks(t *testing.T) {
+	a, b, c := NewCollector(), NewCollector(), NewCollector()
 	r := NewRegistry()
 	r.Group("g").Counter("x").Inc()
 	Publish(r)
-	Detach(a)
-	r.Group("g").Counter("x").Inc()
-	Publish(r)
-	Detach(b)
-	if Active() {
-		t.Fatal("Active must be false after detaching everything")
-	}
+	Publish(r, a)
+	r.Group("g").Counter("x").Add(2)
+	Publish(r, b, c)
 	if got := a.Snapshot().Counter("g", "x"); got != 1 {
-		t.Fatalf("detached sink saw %d, want 1", got)
+		t.Fatalf("first collector saw %d, want 1", got)
 	}
-	if got := b.Snapshot().Counter("g", "x"); got != 2 {
-		t.Fatalf("still-attached sink saw %d, want 2", got)
+	for _, sink := range []*Collector{b, c} {
+		if got := sink.Snapshot().Counter("g", "x"); got != 2 {
+			t.Fatalf("later collector saw %d, want only the later delta 2", got)
+		}
 	}
 }
 
 func TestCollectorMergeCommutes(t *testing.T) {
 	build := func(vals []int64) Snapshot {
 		sink := NewCollector()
-		Attach(sink)
 		for _, v := range vals {
 			r := NewRegistry()
 			r.Group("g").Counter("x").Add(v)
 			r.Group("g").Histogram("h").Observe(v)
-			Publish(r)
+			Publish(r, sink)
 		}
-		Detach(sink)
 		return sink.Snapshot()
 	}
 	a := build([]int64{1, 2, 3}).Render("t")

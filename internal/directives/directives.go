@@ -141,10 +141,10 @@ func ReduceSum(m *machine.Machine, l Loop, value func(i int) float64) (float64, 
 // scalars are adjacent words of a shared array — four per cache line —
 // so every update invalidates the line in three other caches; in the
 // "private" variant each scalar is thread private. The ratio is the
-// "cache thrashing" the directive eliminates.
-func FalseSharing(iters int) (shared, private sim.Cycles, err error) {
+// "cache thrashing" the directive eliminates. The machines report to env.
+func FalseSharing(env *machine.Env, iters int) (shared, private sim.Cycles, err error) {
 	run := func(class topology.Class, spread int) (sim.Cycles, error) {
-		m, err := machine.New(machine.Config{Hypernodes: 1})
+		m, err := machine.New(machine.Config{Hypernodes: 1, Env: env})
 		if err != nil {
 			return 0, err
 		}

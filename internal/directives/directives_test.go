@@ -134,7 +134,7 @@ func TestReduceSum(t *testing.T) {
 }
 
 func TestFalseSharingPenalty(t *testing.T) {
-	shared, private, err := FalseSharing(200)
+	shared, private, err := FalseSharing(nil, 200)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,11 +5,11 @@ import (
 	"fmt"
 
 	"spp1000/internal/counters"
-	"spp1000/internal/sim"
+	"spp1000/internal/machine"
 	"spp1000/internal/snapshot"
 )
 
-// RunCheckpointed executes the named experiments serially, saving a
+// RunCheckpointed executes the named experiments in order, saving a
 // checkpoint after every `every` completed experiments (and after the
 // last), so a killed run can resume from the completed prefix instead of
 // recomputing it. prior is the checkpoint to resume from (nil to start
@@ -27,11 +27,13 @@ import (
 // in-flight experiment is one indivisible simulation, so its partial
 // work is discarded, never serialized.
 //
-// Experiments run serially (not through the worker pool at the
-// experiment level) so the sim-cycle/event deltas sampled around each
-// one attribute to it alone; the sweep points inside an experiment still
-// fan out through the pool as usual.
-func RunCheckpointed(ctx context.Context, names []string, o Options, prior *snapshot.Checkpoint, every int, save func(*snapshot.Checkpoint) error) ([]string, *snapshot.Checkpoint, error) {
+// Each experiment runs in its own Env (env's pool width, a fresh
+// collector), so its sim-cycle/event totals and counter deltas — its
+// region signature — are exactly its own, whatever else runs in the
+// process. The sweep points inside an experiment still fan out over the
+// pool. Each experiment's Env has env as its parent, so the caller sees
+// the work of this call (not the prior checkpoint's) as one run.
+func RunCheckpointed(ctx context.Context, env *machine.Env, names []string, o Options, prior *snapshot.Checkpoint, every int, save func(*snapshot.Checkpoint) error) ([]string, *snapshot.Checkpoint, error) {
 	key := Spec{Experiments: names, Options: o}.Key()
 	if every < 1 {
 		every = 1
@@ -65,27 +67,21 @@ func RunCheckpointed(ctx context.Context, names []string, o Options, prior *snap
 	// at each boundary equals what an uninterrupted run would hold there.
 	coll := counters.NewCollector()
 	coll.Merge(cp.Counters)
-	counters.Attach(coll)
-	defer counters.Detach(coll)
 
 	for i := len(cp.Done); i < len(names); i++ {
-		// A second, per-experiment collector isolates this experiment's
-		// counter deltas for its region signature (docs/SAMPLING.md).
-		expColl := counters.NewCollector()
-		counters.Attach(expColl)
-		c0, e0 := sim.TotalCycles(), sim.TotalEvents()
-		out, err := RunCtx(ctx, names[i], o)
-		dc, de := sim.TotalCycles()-c0, sim.TotalEvents()-e0
-		counters.Detach(expColl)
+		exp := &machine.Env{Workers: env.Width(), Counters: counters.NewCollector(), Parent: env}
+		out, err := RunCtx(ctx, exp, names[i], o)
 		if err != nil {
 			return outs, cp, fmt.Errorf("%s: %w", names[i], err)
 		}
 		outs = append(outs, out)
 		cp.Done = append(cp.Done, snapshot.ExperimentResult{Name: names[i], Output: out})
-		cp.SimCycles += dc
-		cp.SimEvents += de
+		snap := exp.Counters.Snapshot()
+		coll.Merge(snap)
+		cp.SimCycles += exp.SimCycles()
+		cp.SimEvents += exp.SimEvents()
 		cp.Counters = coll.Snapshot()
-		cp.Regions = append(cp.Regions, snapshot.Signature(names[i], dc, de, expColl.Snapshot().Flatten()))
+		cp.Regions = append(cp.Regions, snapshot.Signature(names[i], exp.SimCycles(), exp.SimEvents(), snap.Flatten()))
 		if save != nil && (len(cp.Done)%every == 0 || len(cp.Done) == len(names)) {
 			if err := save(cp); err != nil {
 				return outs, cp, fmt.Errorf("experiments: checkpoint after %s: %w", names[i], err)

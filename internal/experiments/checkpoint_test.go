@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"spp1000/internal/runner"
+	"spp1000/internal/machine"
 	"spp1000/internal/snapshot"
 )
 
@@ -28,13 +28,12 @@ func TestCheckpointKillAtEveryBoundary(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("par%d", workers), func(t *testing.T) {
-			runner.SetWorkers(workers)
-			defer runner.SetWorkers(0)
+			env := &machine.Env{Workers: workers}
 
 			// Uninterrupted reference, recording the checkpoint bytes at
 			// every boundary — these are the states a kill could leave.
 			var boundaries [][]byte
-			refOuts, refFinal, err := RunCheckpointed(context.Background(), names, o, nil, 1,
+			refOuts, refFinal, err := RunCheckpointed(context.Background(), env, names, o, nil, 1,
 				func(c *snapshot.Checkpoint) error {
 					boundaries = append(boundaries, c.Encode())
 					return nil
@@ -52,7 +51,7 @@ func TestCheckpointKillAtEveryBoundary(t *testing.T) {
 				if err != nil {
 					t.Fatalf("boundary %d: %v", b, err)
 				}
-				outs, final, err := RunCheckpointed(context.Background(), names, o, prior, 1, nil)
+				outs, final, err := RunCheckpointed(context.Background(), env, names, o, prior, 1, nil)
 				if err != nil {
 					t.Fatalf("resume from boundary %d: %v", b, err)
 				}
@@ -77,7 +76,7 @@ func TestCheckpointEveryCadence(t *testing.T) {
 	o := Quick()
 	names := []string{"fig2", "fig3", "fig4"}
 	var saved []int
-	_, _, err := RunCheckpointed(context.Background(), names, o, nil, 2,
+	_, _, err := RunCheckpointed(context.Background(), nil, names, o, nil, 2,
 		func(c *snapshot.Checkpoint) error {
 			saved = append(saved, len(c.Done))
 			return nil
@@ -94,16 +93,16 @@ func TestCheckpointEveryCadence(t *testing.T) {
 // refused, never silently spliced into the wrong run.
 func TestCheckpointSpecKeyMismatch(t *testing.T) {
 	o := Quick()
-	_, cp, err := RunCheckpointed(context.Background(), []string{"fig2"}, o, nil, 1, nil)
+	_, cp, err := RunCheckpointed(context.Background(), nil, []string{"fig2"}, o, nil, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunCheckpointed(context.Background(), []string{"fig2", "fig3"}, o, cp, 1, nil); err == nil {
+	if _, _, err := RunCheckpointed(context.Background(), nil, []string{"fig2", "fig3"}, o, cp, 1, nil); err == nil {
 		t.Fatal("checkpoint for another suite accepted")
 	}
 	other := Quick()
 	other.AppSteps++
-	if _, _, err := RunCheckpointed(context.Background(), []string{"fig2"}, other, cp, 1, nil); err == nil {
+	if _, _, err := RunCheckpointed(context.Background(), nil, []string{"fig2"}, other, cp, 1, nil); err == nil {
 		t.Fatal("checkpoint for other options accepted")
 	}
 }
@@ -114,7 +113,7 @@ func TestCheckpointCancelKeepsPrefix(t *testing.T) {
 	o := Quick()
 	names := []string{"fig2", "fig3"}
 	ctx, cancel := context.WithCancel(context.Background())
-	_, cp, err := RunCheckpointed(ctx, names, o, nil, 1,
+	_, cp, err := RunCheckpointed(ctx, nil, names, o, nil, 1,
 		func(c *snapshot.Checkpoint) error {
 			cancel() // killed right after the first boundary
 			return nil
@@ -126,11 +125,11 @@ func TestCheckpointCancelKeepsPrefix(t *testing.T) {
 		t.Fatalf("prefix %v, want the completed fig2 only", cp.Done)
 	}
 	// The prefix resumes to exactly the uninterrupted result.
-	refOuts, _, err := RunCheckpointed(context.Background(), names, o, nil, 1, nil)
+	refOuts, _, err := RunCheckpointed(context.Background(), nil, names, o, nil, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, _, err := RunCheckpointed(context.Background(), names, o, cp, 1, nil)
+	outs, _, err := RunCheckpointed(context.Background(), nil, names, o, cp, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +141,69 @@ func TestCheckpointCancelKeepsPrefix(t *testing.T) {
 // A failing save aborts the run with the checkpoint it could not persist.
 func TestCheckpointSaveErrorPropagates(t *testing.T) {
 	boom := errors.New("disk full")
-	_, _, err := RunCheckpointed(context.Background(), []string{"fig2"}, Quick(), nil, 1,
+	_, _, err := RunCheckpointed(context.Background(), nil, []string{"fig2"}, Quick(), nil, 1,
 		func(c *snapshot.Checkpoint) error { return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the save error", err)
+	}
+}
+
+// TestCheckpointConcurrentRunsExact: a checkpointed run records exactly
+// its own work, whatever else the process runs at the same time. Quick
+// fig2 is checkpointed 20 times while a goroutine keeps running fig3;
+// every final checkpoint — sim totals, counter snapshot and region
+// signature — must be byte-identical to fig2's serial one.
+func TestCheckpointConcurrentRunsExact(t *testing.T) {
+	o := Quick()
+	names := []string{"fig2"}
+	_, ref, err := RunCheckpointed(context.Background(), nil, names, o, nil, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.SimCycles != 363800 || ref.SimEvents != 935 {
+		t.Fatalf("serial fig2 recorded cycles=%d events=%d, want 363800/935", ref.SimCycles, ref.SimEvents)
+	}
+	want := ref.Encode()
+
+	stop := make(chan struct{})
+	noise := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				noise <- nil
+				return
+			default:
+			}
+			if _, err := Run("fig3", o); err != nil {
+				noise <- err
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		if err := <-noise; err != nil {
+			t.Errorf("concurrent fig3: %v", err)
+		}
+	}()
+
+	for i := 0; i < 20; i++ {
+		env := &machine.Env{Workers: 2}
+		_, cp, err := RunCheckpointed(context.Background(), env, names, o, nil, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp.SimCycles != ref.SimCycles || cp.SimEvents != ref.SimEvents {
+			t.Fatalf("run %d: recorded cycles=%d events=%d beside fig3, serial %d/%d",
+				i, cp.SimCycles, cp.SimEvents, ref.SimCycles, ref.SimEvents)
+		}
+		if env.SimCycles() != ref.SimCycles || env.SimEvents() != ref.SimEvents {
+			t.Fatalf("run %d: caller's Env holds cycles=%d events=%d, want %d/%d",
+				i, env.SimCycles(), env.SimEvents(), ref.SimCycles, ref.SimEvents)
+		}
+		if !bytes.Equal(cp.Encode(), want) {
+			t.Fatalf("run %d: checkpoint (counters or region digest) differs from the serial run's", i)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"spp1000/internal/counters"
@@ -57,8 +58,8 @@ type CounterDerived struct {
 // then a CPU on the other hypernode streams a disjoint set (global
 // misses). The second thread is released only after the first finishes
 // so neither class's mean is polluted by contention.
-func missLadder() (counters.Snapshot, error) {
-	m, err := machine.New(machine.Config{Hypernodes: 2, CacheLines: 4096})
+func missLadder(env *machine.Env) (counters.Snapshot, error) {
+	m, err := machine.New(machine.Config{Hypernodes: 2, CacheLines: 4096, Env: env})
 	if err != nil {
 		return counters.Snapshot{}, err
 	}
@@ -87,8 +88,8 @@ func missLadder() (counters.Snapshot, error) {
 // barrierEpisode runs one 16-thread barrier on two hypernodes, staggered
 // so the last arrival — the releasing writer — sits on the flag's home
 // hypernode, reproducing the §4.2 release fan-out.
-func barrierEpisode() (counters.Snapshot, error) {
-	m, err := machine.New(machine.Config{Hypernodes: 2})
+func barrierEpisode(env *machine.Env) (counters.Snapshot, error) {
+	m, err := machine.New(machine.Config{Hypernodes: 2, Env: env})
 	if err != nil {
 		return counters.Snapshot{}, err
 	}
@@ -111,8 +112,8 @@ func barrierEpisode() (counters.Snapshot, error) {
 
 // globalBuffer exercises §2.5's node-level cache of remote lines: two
 // CPUs of hypernode 1 read the same hypernode-0 line back to back.
-func globalBuffer() (counters.Snapshot, error) {
-	m, err := machine.New(machine.Config{Hypernodes: 2})
+func globalBuffer(env *machine.Env) (counters.Snapshot, error) {
+	m, err := machine.New(machine.Config{Hypernodes: 2, Env: env})
 	if err != nil {
 		return counters.Snapshot{}, err
 	}
@@ -136,8 +137,8 @@ func globalBuffer() (counters.Snapshot, error) {
 }
 
 // forkBoundary forks the first team size that spans two hypernodes.
-func forkBoundary() (counters.Snapshot, error) {
-	m, err := machine.New(machine.Config{Hypernodes: 2})
+func forkBoundary(env *machine.Env) (counters.Snapshot, error) {
+	m, err := machine.New(machine.Config{Hypernodes: 2, Env: env})
 	if err != nil {
 		return counters.Snapshot{}, err
 	}
@@ -153,11 +154,12 @@ func forkBoundary() (counters.Snapshot, error) {
 // DeriveCounterRatios runs the four probe workloads and reduces their
 // counter snapshots to the paper-comparable figures. It is deterministic
 // and independent of the host worker pool: every probe is a fresh
-// single-machine simulation read through its own registry.
-func DeriveCounterRatios() (CounterDerived, error) {
+// single-machine simulation read through its own registry. The probe
+// machines report to env like any other run's.
+func DeriveCounterRatios(env *machine.Env) (CounterDerived, error) {
 	var d CounterDerived
 
-	s, err := missLadder()
+	s, err := missLadder(env)
 	if err != nil {
 		return d, err
 	}
@@ -170,7 +172,7 @@ func DeriveCounterRatios() (CounterDerived, error) {
 	d.GlobalMissCycles = float64(s.Counter("mem", "global_miss_cycles")) / float64(gm)
 	d.GlobalLocalRatio = d.GlobalMissCycles / d.LocalMissCycles
 
-	if s, err = barrierEpisode(); err != nil {
+	if s, err = barrierEpisode(env); err != nil {
 		return d, err
 	}
 	d.BarrierInvalidations = s.GroupTotal("directory", "invalidations")
@@ -179,7 +181,7 @@ func DeriveCounterRatios() (CounterDerived, error) {
 	}
 	d.BarrierAttaches = s.Counter("sci", "attaches")
 
-	if s, err = globalBuffer(); err != nil {
+	if s, err = globalBuffer(env); err != nil {
 		return d, err
 	}
 	d.BufferGlobalMisses = s.Counter("mem", "global_misses")
@@ -189,7 +191,7 @@ func DeriveCounterRatios() (CounterDerived, error) {
 		d.BufferRingPackets += s.Counter("ring", fmt.Sprintf("r%d.packets", i))
 	}
 
-	if s, err = forkBoundary(); err != nil {
+	if s, err = forkBoundary(env); err != nil {
 		return d, err
 	}
 	d.SpawnLocal = s.Counter("threads", "spawn_local")
@@ -198,10 +200,10 @@ func DeriveCounterRatios() (CounterDerived, error) {
 	return d, nil
 }
 
-// CountersReport renders the counter-derived figures against the
+// countersReport renders the counter-derived figures against the
 // paper's calibration — the `counters` experiment of sppbench.
-func CountersReport(o Options) (string, error) {
-	d, err := DeriveCounterRatios()
+func countersReport(ctx context.Context, env *machine.Env, o Options) (string, error) {
+	d, err := DeriveCounterRatios(env)
 	if err != nil {
 		return "", err
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spp1000/internal/counters"
+	"spp1000/internal/machine"
 	"spp1000/internal/runner"
 )
 
@@ -12,7 +13,7 @@ import (
 // carry the paper's §4 calibration: every headline figure re-derived in
 // DeriveCounterRatios must land on its architectural value.
 func TestCounterRatios(t *testing.T) {
-	d, err := DeriveCounterRatios()
+	d, err := DeriveCounterRatios(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,28 +55,24 @@ func TestCounterRatios(t *testing.T) {
 	}
 }
 
-// collectProbes runs the four probe simulations through the host worker
-// pool with a collector attached and returns the merged snapshot,
-// rendered. The render is the determinism witness: it must not depend
-// on how the host scheduled the probes.
+// collectProbes runs the four probe simulations through a host worker
+// pool of the given width, all in one Env with a collector, and returns
+// the merged snapshot, rendered. The render is the determinism witness:
+// it must not depend on how the host scheduled the probes.
 func collectProbes(t *testing.T, workers int) string {
 	t.Helper()
-	runner.SetWorkers(workers)
-	defer runner.SetWorkers(0)
-	col := counters.NewCollector()
-	counters.Attach(col)
-	defer counters.Detach(col)
-	probes := []func() (counters.Snapshot, error){
+	env := &machine.Env{Workers: workers, Counters: counters.NewCollector()}
+	probes := []func(*machine.Env) (counters.Snapshot, error){
 		missLadder, barrierEpisode, globalBuffer, forkBoundary,
 	}
-	_, err := runner.Map(2*len(probes), func(i int) (struct{}, error) {
-		_, err := probes[i%len(probes)]()
-		return struct{}{}, err
+	err := runner.Each(env.Width(), 2*len(probes), func(i int) error {
+		_, err := probes[i%len(probes)](env)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return col.Snapshot().Render("probes")
+	return env.Counters.Snapshot().Render("probes")
 }
 
 // TestCounterDeterminismAcrossWorkers extends the PR 1 determinism
@@ -111,11 +108,11 @@ func TestCountersExperimentDeterministic(t *testing.T) {
 // TestProbeSnapshotsDisjointFromGlobalState guards the probes against
 // leaking into each other: two back-to-back derivations agree exactly.
 func TestProbeSnapshotsRepeatable(t *testing.T) {
-	d1, err := DeriveCounterRatios()
+	d1, err := DeriveCounterRatios(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := DeriveCounterRatios()
+	d2, err := DeriveCounterRatios(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"spp1000/internal/apps/pic"
 	"spp1000/internal/apps/ppm"
 	"spp1000/internal/directives"
+	"spp1000/internal/machine"
 	"spp1000/internal/microbench"
 	"spp1000/internal/runner"
 	"spp1000/internal/stats"
@@ -61,27 +62,30 @@ func Quick() Options {
 	}
 }
 
-// Fig2 reproduces Figure 2: fork-join cost versus thread count.
-func Fig2(o Options) (string, error) {
-	hl, un, err := microbench.ForkJoinSweep(2, 16)
+// Each experiment below renders one artifact on machines that report to
+// env, fanning its sweep points over env's pool (env.Width()).
+
+// fig2 reproduces Figure 2: fork-join cost versus thread count.
+func fig2(ctx context.Context, env *machine.Env, o Options) (string, error) {
+	hl, un, err := microbench.ForkJoinSweep(env, 2, 16)
 	if err != nil {
 		return "", err
 	}
 	return stats.Render("Figure 2: Cost of Fork-Join (2 hypernodes)", "threads", "microseconds", hl, un), nil
 }
 
-// Fig3 reproduces Figure 3: barrier synchronization cost.
-func Fig3(o Options) (string, error) {
-	series, err := microbench.BarrierSweep(2, 16)
+// fig3 reproduces Figure 3: barrier synchronization cost.
+func fig3(ctx context.Context, env *machine.Env, o Options) (string, error) {
+	series, err := microbench.BarrierSweep(env, 2, 16)
 	if err != nil {
 		return "", err
 	}
 	return stats.Render("Figure 3: Cost of Barrier Synchronization", "threads", "microseconds", series...), nil
 }
 
-// Fig4 reproduces Figure 4: PVM round-trip time versus message size.
-func Fig4(o Options) (string, error) {
-	local, global, err := microbench.MessageSweep()
+// fig4 reproduces Figure 4: PVM round-trip time versus message size.
+func fig4(ctx context.Context, env *machine.Env, o Options) (string, error) {
+	local, global, err := microbench.MessageSweep(env)
 	if err != nil {
 		return "", err
 	}
@@ -92,8 +96,8 @@ func Fig4(o Options) (string, error) {
 	return out, nil
 }
 
-// Tab1 reproduces Table 1: PIC performance on one C90 processor.
-func Tab1(o Options) (string, error) {
+// tab1 reproduces Table 1: PIC performance on one C90 processor.
+func tab1(ctx context.Context, env *machine.Env, o Options) (string, error) {
 	tb := stats.NewTable("Table 1: Performance on 1 C90 processor",
 		"Mesh", "No. of particles", "Mflop/s", "Total CPU Time (s)")
 	for _, size := range []pic.Size{pic.Small, pic.Large} {
@@ -103,23 +107,21 @@ func Tab1(o Options) (string, error) {
 	return tb.Render(), nil
 }
 
-// Fig6 reproduces Figure 6: PIC time to solution and speedup, shared
+// fig6 reproduces Figure 6: PIC time to solution and speedup, shared
 // memory versus PVM, with the C90 reference line. Every (size, procs)
 // point is two independent simulations; the full grid is dispatched
 // through the worker pool, then rendered serially in sweep order.
-func Fig6(o Options) (string, error) { return fig6(context.Background(), o) }
-
-func fig6(ctx context.Context, o Options) (string, error) {
+func fig6(ctx context.Context, env *machine.Env, o Options) (string, error) {
 	procs := []int{1, 2, 4, 8, 12, 16}
 	sizes := []pic.Size{pic.Small, pic.Large}
 	type point struct{ rs, rp pic.Result }
-	pts, err := runner.MapCtx(ctx, len(sizes)*len(procs), func(i int) (point, error) {
+	pts, err := runner.MapCtx(ctx, env.Width(), len(sizes)*len(procs), func(i int) (point, error) {
 		size, p := sizes[i/len(procs)], procs[i%len(procs)]
-		rs, err := pic.RunShared(size, p, o.PICSteps)
+		rs, err := pic.RunShared(env, size, p, o.PICSteps)
 		if err != nil {
 			return point{}, err
 		}
-		rp, err := pic.RunPVM(size, p, o.PICSteps)
+		rp, err := pic.RunPVM(env, size, p, o.PICSteps)
 		if err != nil {
 			return point{}, err
 		}
@@ -156,27 +158,25 @@ func fig6(ctx context.Context, o Options) (string, error) {
 	return b.String(), nil
 }
 
-// Fig7 reproduces Figure 7: FEM performance on the small and large
+// fig7 reproduces Figure 7: FEM performance on the small and large
 // datasets, both codings, with the C90 line.
-func Fig7(o Options) (string, error) { return fig7(context.Background(), o) }
-
-func fig7(ctx context.Context, o Options) (string, error) {
+func fig7(ctx context.Context, env *machine.Env, o Options) (string, error) {
 	procs := []int{1, 2, 4, 8, 9, 10, 12, 14, 16}
 	type point struct{ small1, small2, large float64 }
-	pts, err := runner.MapCtx(ctx, len(procs), func(i int) (point, error) {
+	pts, err := runner.MapCtx(ctx, env.Width(), len(procs), func(i int) (point, error) {
 		p := procs[i]
 		var pt point
-		r, err := fem.Run(fem.SmallGrid, fem.GatherScatter, p, o.AppSteps)
+		r, err := fem.Run(env, fem.SmallGrid, fem.GatherScatter, p, o.AppSteps)
 		if err != nil {
 			return pt, err
 		}
 		pt.small1 = r.UsefulMflops
-		r, err = fem.Run(fem.SmallGrid, fem.VectorStyle, p, o.AppSteps)
+		r, err = fem.Run(env, fem.SmallGrid, fem.VectorStyle, p, o.AppSteps)
 		if err != nil {
 			return pt, err
 		}
 		pt.small2 = r.UsefulMflops
-		r, err = fem.Run(fem.LargeGrid, fem.GatherScatter, p, o.AppSteps)
+		r, err = fem.Run(env, fem.LargeGrid, fem.GatherScatter, p, o.AppSteps)
 		if err != nil {
 			return pt, err
 		}
@@ -200,14 +200,12 @@ func fig7(ctx context.Context, o Options) (string, error) {
 	return out, nil
 }
 
-// Fig8 reproduces Figure 8: N-body speedup for three problem sizes on
+// fig8 reproduces Figure 8: N-body speedup for three problem sizes on
 // one and two hypernodes.
-func Fig8(o Options) (string, error) { return fig8(context.Background(), o) }
-
-func fig8(ctx context.Context, o Options) (string, error) {
+func fig8(ctx context.Context, env *machine.Env, o Options) (string, error) {
 	// Stage 1: the counted workloads (host-side tree builds — by far the
 	// heaviest host compute in the suite) in parallel across sizes.
-	ws, err := runner.MapCtx(ctx, len(o.NBodySizes), func(i int) (*nbody.Workload, error) {
+	ws, err := runner.MapCtx(ctx, env.Width(), len(o.NBodySizes), func(i int) (*nbody.Workload, error) {
 		return nbody.CountWorkload(o.NBodySizes[i], o.NBodySample, o.Seed), nil
 	})
 	if err != nil {
@@ -218,8 +216,8 @@ func fig8(ctx context.Context, o Options) (string, error) {
 	cfgs := []struct{ p, hn int }{
 		{1, 1}, {2, 1}, {4, 1}, {8, 1}, {2, 2}, {4, 2}, {8, 2}, {16, 2},
 	}
-	res, err := runner.MapCtx(ctx, len(ws)*len(cfgs), func(i int) (nbody.Result, error) {
-		return nbody.Run(ws[i/len(cfgs)], cfgs[i%len(cfgs)].p, cfgs[i%len(cfgs)].hn, o.AppSteps)
+	res, err := runner.MapCtx(ctx, env.Width(), len(ws)*len(cfgs), func(i int) (nbody.Result, error) {
+		return nbody.RunEnv(env, ws[i/len(cfgs)], cfgs[i%len(cfgs)].p, cfgs[i%len(cfgs)].hn, o.AppSteps)
 	})
 	if err != nil {
 		return "", err
@@ -248,9 +246,9 @@ func fig8(ctx context.Context, o Options) (string, error) {
 	return b.String(), nil
 }
 
-// Tab2 reproduces Table 2: PPM performance.
-func Tab2(o Options) (string, error) {
-	res, err := ppm.Table2(o.AppSteps)
+// tab2 reproduces Table 2: PPM performance.
+func tab2(ctx context.Context, env *machine.Env, o Options) (string, error) {
+	res, err := ppm.Table2(env, o.AppSteps)
 	if err != nil {
 		return "", err
 	}
@@ -266,18 +264,18 @@ func Tab2(o Options) (string, error) {
 	return tb.Render(), nil
 }
 
-// Ablate runs the design-choice ablation suite (hardware vs. software
+// ablate runs the design-choice ablation suite (hardware vs. software
 // synchronization, the SCI global buffer, ring count, dynamic
 // scheduling) — the studies DESIGN.md calls out beyond the paper's own
 // artifacts.
-func Ablate(o Options) (string, error) {
-	out, err := ablation.Report()
+func ablate(ctx context.Context, env *machine.Env, o Options) (string, error) {
+	out, err := ablation.Report(env)
 	if err != nil {
 		return "", err
 	}
 	// Message contention (§4.3's "compounding factor"): flat on the
 	// architected four rings, visible on a hypothetical single ring.
-	four, one, err := microbench.ContentionSweep(16384)
+	four, one, err := microbench.ContentionSweep(env, 16384)
 	if err != nil {
 		return "", err
 	}
@@ -286,20 +284,20 @@ func Ablate(o Options) (string, error) {
 	return out, nil
 }
 
-// Scale runs the paper's future-work extrapolation to 16 hypernodes.
-func Scale(o Options) (string, error) { return ablation.ScaleReport() }
+// scale runs the paper's future-work extrapolation to 16 hypernodes.
+func scale(ctx context.Context, env *machine.Env, o Options) (string, error) {
+	return ablation.ScaleReport(env)
+}
 
-// AMR runs the adaptive-mesh-refinement extension: the PPM shock
+// amrReport runs the adaptive-mesh-refinement extension: the PPM shock
 // problem on a PARAMESH-style quadtree of blocks, timed on the
 // simulated machine against the equivalent uniform fine grid.
-func AMR(o Options) (string, error) { return amrReport(context.Background(), o) }
-
-func amrReport(ctx context.Context, o Options) (string, error) {
+func amrReport(ctx context.Context, env *machine.Env, o Options) (string, error) {
 	var b strings.Builder
 	b.WriteString("AMR extension: PPM shock on a PARAMESH-style block quadtree\n")
 	tb := stats.NewTable("", "procs", "sim seconds", "Mflop/s", "leaves", "max level", "zones saved")
 	ps := []int{1, 4, 8, 16}
-	res, err := runner.MapCtx(ctx, len(ps), func(i int) (amr.Result, error) {
+	res, err := runner.MapCtx(ctx, env.Width(), len(ps), func(i int) (amr.Result, error) {
 		d, err := amr.New(4, 1)
 		if err != nil {
 			return amr.Result{}, err
@@ -311,7 +309,7 @@ func amrReport(ctx context.Context, o Options) (string, error) {
 			}
 			return 0.125, 0, 0, 0.1
 		})
-		return amr.Run(d, ps[i], 10)
+		return amr.Run(env, d, ps[i], 10)
 	})
 	if err != nil {
 		return "", err
@@ -326,15 +324,15 @@ func amrReport(ctx context.Context, o Options) (string, error) {
 	return b.String(), nil
 }
 
-// Classes characterizes the five §3.2 virtual-memory classes and the
+// classes characterizes the five §3.2 virtual-memory classes and the
 // §3.2 false-sharing effect.
-func Classes(o Options) (string, error) {
-	tb, err := microbench.ClassLadder()
+func classes(ctx context.Context, env *machine.Env, o Options) (string, error) {
+	tb, err := microbench.ClassLadder(env)
 	if err != nil {
 		return "", err
 	}
 	out := tb.Render()
-	shared, private, err := directives.FalseSharing(200)
+	shared, private, err := directives.FalseSharing(env, 200)
 	if err != nil {
 		return "", err
 	}
@@ -353,17 +351,8 @@ var (
 
 // Known reports whether name is a runnable experiment id.
 func Known(name string) bool {
-	for _, n := range Names {
-		if n == name {
-			return true
-		}
-	}
-	for _, n := range Extra {
-		if n == name {
-			return true
-		}
-	}
-	return false
+	_, ok := experimentFuncs[name]
+	return ok
 }
 
 // ResolveNames expands an -exp style expression — "all", "extra",
@@ -397,21 +386,23 @@ func ResolveNames(expr string) ([]string, error) {
 	return names, nil
 }
 
-// RunMany executes the named experiments through the host worker pool
-// and returns the rendered outputs in name order. The rendering of each
-// experiment — and of the whole sequence — is byte-identical to calling
-// Run serially: workers fill their own slots and assembly is ordered.
-func RunMany(names []string, o Options) ([]string, error) {
-	return RunManyCtx(context.Background(), names, o)
-}
-
-// RunManyCtx is RunMany with cancellation: a done ctx stops both the
+// RunManyCtx executes the named experiments under ctx, fanned over
+// env's host worker pool, and returns the rendered outputs in name
+// order. Each experiment runs under env, or under regions[i] when
+// regions is non-nil (one Env per experiment, as sppbench -counters
+// uses to attribute each table). Each output — and the whole sequence —
+// is byte-identical to running them one by one: workers fill their own
+// slots and assembly is ordered. A done ctx stops both the
 // experiment-level dispatch and the sweep-point dispatch inside each
 // experiment that fans out (fig6/fig7/fig8/amr). In-flight simulations
 // run to completion; everything still queued is skipped.
-func RunManyCtx(ctx context.Context, names []string, o Options) ([]string, error) {
-	return runner.MapCtx(ctx, len(names), func(i int) (string, error) {
-		out, err := RunCtx(ctx, names[i], o)
+func RunManyCtx(ctx context.Context, env *machine.Env, names []string, o Options, regions []*machine.Env) ([]string, error) {
+	return runner.MapCtx(ctx, env.Width(), len(names), func(i int) (string, error) {
+		run := env
+		if regions != nil {
+			run = regions[i]
+		}
+		out, err := RunCtx(ctx, run, names[i], o)
 		if err != nil {
 			return "", fmt.Errorf("%s: %w", names[i], err)
 		}
@@ -419,66 +410,30 @@ func RunManyCtx(ctx context.Context, names []string, o Options) ([]string, error
 	})
 }
 
-// All runs every paper artifact (Names, in order) and returns the
-// concatenation of their renderings, each prefixed by its banner —
-// exactly the text `sppbench -exp all` prints.
-func All(o Options) (string, error) {
-	return AllCtx(context.Background(), o)
-}
-
-// AllCtx is All with cancellation (see RunManyCtx).
-func AllCtx(ctx context.Context, o Options) (string, error) {
-	outs, err := RunManyCtx(ctx, Names, o)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	for i, name := range Names {
-		fmt.Fprintf(&b, "=== %s ===\n%s\n", name, outs[i])
-	}
-	return b.String(), nil
-}
-
-// Run executes one experiment by name.
+// Run executes one experiment by name with no run environment
+// (GOMAXPROCS workers, no counters).
 func Run(name string, o Options) (string, error) {
-	return RunCtx(context.Background(), name, o)
+	return RunCtx(context.Background(), nil, name, o)
 }
 
-// RunCtx executes one experiment by name under ctx. Experiments that
-// fan sweep points onto the worker pool stop dispatching new points once
-// ctx is done; the single-simulation experiments check ctx only on
+// RunCtx executes one experiment by name under env and ctx. Experiments
+// that fan sweep points onto the worker pool stop dispatching new points
+// once ctx is done; the single-simulation experiments check ctx only on
 // entry (each is one indivisible deterministic run).
-func RunCtx(ctx context.Context, name string, o Options) (string, error) {
+func RunCtx(ctx context.Context, env *machine.Env, name string, o Options) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
-	switch name {
-	case "fig2":
-		return Fig2(o)
-	case "fig3":
-		return Fig3(o)
-	case "fig4":
-		return Fig4(o)
-	case "tab1":
-		return Tab1(o)
-	case "fig6":
-		return fig6(ctx, o)
-	case "fig7":
-		return fig7(ctx, o)
-	case "fig8":
-		return fig8(ctx, o)
-	case "tab2":
-		return Tab2(o)
-	case "ablate":
-		return Ablate(o)
-	case "scale":
-		return Scale(o)
-	case "classes":
-		return Classes(o)
-	case "amr":
-		return amrReport(ctx, o)
-	case "counters":
-		return CountersReport(o)
+	if !Known(name) {
+		return "", fmt.Errorf("unknown experiment %q (have %v and %v)", name, Names, Extra)
 	}
-	return "", fmt.Errorf("unknown experiment %q (have %v and %v)", name, Names, Extra)
+	return experimentFuncs[name](ctx, env, o)
+}
+
+// experimentFuncs maps every id in Names and Extra to its renderer.
+var experimentFuncs = map[string]func(context.Context, *machine.Env, Options) (string, error){
+	"fig2": fig2, "fig3": fig3, "fig4": fig4, "tab1": tab1,
+	"fig6": fig6, "fig7": fig7, "fig8": fig8, "tab2": tab2,
+	"ablate": ablate, "scale": scale, "classes": classes,
+	"amr": amrReport, "counters": countersReport,
 }

@@ -25,6 +25,9 @@ func TestAllExperimentsRender(t *testing.T) {
 		"counters": {"Counter-derived", "global/local miss ratio",
 			"barrier release invalidations", "Fig. 2 knee"},
 	}
+	if len(experimentFuncs) != len(Names)+len(Extra) {
+		t.Fatalf("%d runnable experiments, but Names and Extra list %d", len(experimentFuncs), len(Names)+len(Extra))
+	}
 	for _, name := range append(append([]string{}, Names...), Extra...) {
 		out, err := Run(name, o)
 		if err != nil {
@@ -46,7 +49,7 @@ func TestUnknownExperiment(t *testing.T) {
 
 func TestJSONReport(t *testing.T) {
 	o := Quick()
-	r, err := BuildReport(o)
+	r, err := BuildReport(nil, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +66,7 @@ func TestJSONReport(t *testing.T) {
 		t.Fatalf("report shape: fig6=%d tab2=%d", len(r.Fig6), len(r.Tab2))
 	}
 	// Determinism: identical bytes on a second run.
-	r2, err := BuildReport(o)
+	r2, err := BuildReport(nil, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 
 	"spp1000/internal/apps/fem"
 	"spp1000/internal/apps/nbody"
 	"spp1000/internal/apps/pic"
 	"spp1000/internal/apps/ppm"
+	"spp1000/internal/machine"
 	"spp1000/internal/microbench"
 	"spp1000/internal/runner"
 	"spp1000/internal/stats"
@@ -45,37 +47,38 @@ type Report struct {
 	Tab2 []ppm.Result `json:"tab2"`
 }
 
-// BuildReport runs the paper artifacts and returns the structured form.
-// The independent sections — and the sweep points within them — are
-// dispatched through the host worker pool; every slice is assembled in
-// the same order as a serial build, so the marshalled bytes are
-// unchanged by parallelism.
-func BuildReport(o Options) (*Report, error) {
+// BuildReport runs the paper artifacts under env and returns the
+// structured form. The independent sections — and the sweep points
+// within them — are dispatched through env's host worker pool; every
+// slice is assembled in the same order as a serial build, so the
+// marshalled bytes are unchanged by parallelism.
+func BuildReport(env *machine.Env, o Options) (*Report, error) {
 	r := &Report{}
-	err := runner.Each(6, func(section int) error {
+	w := env.Width()
+	err := runner.Each(w, 6, func(section int) error {
 		switch section {
 		case 0:
 			var err error
-			r.Fig2.HighLocality, r.Fig2.Uniform, err = microbench.ForkJoinSweep(2, 16)
+			r.Fig2.HighLocality, r.Fig2.Uniform, err = microbench.ForkJoinSweep(env, 2, 16)
 			return err
 		case 1:
 			var err error
-			r.Fig3, err = microbench.BarrierSweep(2, 16)
+			r.Fig3, err = microbench.BarrierSweep(env, 2, 16)
 			return err
 		case 2:
 			var err error
-			r.Fig4.Local, r.Fig4.Global, err = microbench.MessageSweep()
+			r.Fig4.Local, r.Fig4.Global, err = microbench.MessageSweep(env)
 			return err
 		case 3:
 			sizes := []pic.Size{pic.Small, pic.Large}
 			procs := []int{1, 2, 4, 8, 16}
-			pts, err := runner.Map(len(sizes)*len(procs), func(i int) ([2]pic.Result, error) {
+			pts, err := runner.MapCtx(context.Background(), w, len(sizes)*len(procs), func(i int) ([2]pic.Result, error) {
 				size, p := sizes[i/len(procs)], procs[i%len(procs)]
-				rs, err := pic.RunShared(size, p, o.PICSteps)
+				rs, err := pic.RunShared(env, size, p, o.PICSteps)
 				if err != nil {
 					return [2]pic.Result{}, err
 				}
-				rp, err := pic.RunPVM(size, p, o.PICSteps)
+				rp, err := pic.RunPVM(env, size, p, o.PICSteps)
 				if err != nil {
 					return [2]pic.Result{}, err
 				}
@@ -99,8 +102,8 @@ func BuildReport(o Options) (*Report, error) {
 			return nil
 		case 4:
 			procs := []int{1, 2, 4, 8, 9, 12, 16}
-			res, err := runner.Map(len(procs), func(i int) (fem.Result, error) {
-				return fem.Run(fem.SmallGrid, fem.GatherScatter, procs[i], o.AppSteps)
+			res, err := runner.MapCtx(context.Background(), w, len(procs), func(i int) (fem.Result, error) {
+				return fem.Run(env, fem.SmallGrid, fem.GatherScatter, procs[i], o.AppSteps)
 			})
 			if err != nil {
 				return err
@@ -108,15 +111,15 @@ func BuildReport(o Options) (*Report, error) {
 			r.Fig7 = res
 			return nil
 		case 5:
-			ws, err := runner.Map(len(o.NBodySizes), func(i int) (*nbody.Workload, error) {
+			ws, err := runner.MapCtx(context.Background(), w, len(o.NBodySizes), func(i int) (*nbody.Workload, error) {
 				return nbody.CountWorkload(o.NBodySizes[i], o.NBodySample, o.Seed), nil
 			})
 			if err != nil {
 				return err
 			}
 			cfgs := []struct{ p, hn int }{{1, 1}, {8, 1}, {8, 2}, {16, 2}}
-			res, err := runner.Map(len(ws)*len(cfgs), func(i int) (nbody.Result, error) {
-				return nbody.Run(ws[i/len(cfgs)], cfgs[i%len(cfgs)].p, cfgs[i%len(cfgs)].hn, o.AppSteps)
+			res, err := runner.MapCtx(context.Background(), w, len(ws)*len(cfgs), func(i int) (nbody.Result, error) {
+				return nbody.RunEnv(env, ws[i/len(cfgs)], cfgs[i%len(cfgs)].p, cfgs[i%len(cfgs)].hn, o.AppSteps)
 			})
 			if err != nil {
 				return err
@@ -129,7 +132,7 @@ func BuildReport(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.Tab2, err = ppm.Table2(o.AppSteps); err != nil {
+	if r.Tab2, err = ppm.Table2(env, o.AppSteps); err != nil {
 		return nil, err
 	}
 	return r, nil

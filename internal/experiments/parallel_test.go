@@ -1,11 +1,22 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
-	"spp1000/internal/runner"
+	"spp1000/internal/machine"
 )
+
+// runMany runs names through RunManyCtx on a pool of the given width.
+func runMany(t *testing.T, workers int, names []string, o Options) []string {
+	t.Helper()
+	outs, err := RunManyCtx(context.Background(), &machine.Env{Workers: workers}, names, o, nil)
+	if err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	return outs
+}
 
 // TestParallelDeterminism is the engine's core invariant: the rendered
 // output of the full paper suite must be byte-identical whether the
@@ -14,27 +25,14 @@ import (
 // trajectories, the paper comparison itself) leans on this.
 func TestParallelDeterminism(t *testing.T) {
 	o := Quick()
-
-	runner.SetWorkers(1)
-	serial, err := All(o)
-	if err != nil {
-		runner.SetWorkers(0)
-		t.Fatal(err)
-	}
-
-	runner.SetWorkers(4)
-	parallel, err := All(o)
-	runner.SetWorkers(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	serial := strings.Join(runMany(t, 1, Names, o), "\x00")
+	parallel := strings.Join(runMany(t, 4, Names, o), "\x00")
 	if serial != parallel {
 		t.Fatalf("output differs between -par 1 and -par 4:\n--- serial (%d bytes) ---\n%.400s\n--- parallel (%d bytes) ---\n%.400s",
 			len(serial), serial, len(parallel), parallel)
 	}
 	if len(serial) == 0 {
-		t.Fatal("All produced no output")
+		t.Fatal("the paper suite produced no output")
 	}
 }
 
@@ -47,16 +45,7 @@ func TestParallelDeterminismPar8(t *testing.T) {
 	names := []string{"fig6", "fig7"}
 	o := Quick()
 
-	run := func(workers int) []string {
-		t.Helper()
-		runner.SetWorkers(workers)
-		defer runner.SetWorkers(0)
-		outs, err := RunMany(names, o)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return outs
-	}
+	run := func(workers int) []string { return runMany(t, workers, names, o) }
 
 	par1a, par1b := run(1), run(1)
 	par8a, par8b := run(8), run(8)
@@ -83,12 +72,7 @@ func TestParallelDeterminismPar8(t *testing.T) {
 func TestRunManyMatchesRun(t *testing.T) {
 	o := Quick()
 	names := []string{"fig2", "tab1", "fig4"}
-	runner.SetWorkers(4)
-	outs, err := RunMany(names, o)
-	runner.SetWorkers(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	outs := runMany(t, 4, names, o)
 	for i, name := range names {
 		want, err := Run(name, o)
 		if err != nil {
@@ -102,7 +86,7 @@ func TestRunManyMatchesRun(t *testing.T) {
 
 // TestRunManyUnknownName surfaces the failing experiment.
 func TestRunManyUnknownName(t *testing.T) {
-	_, err := RunMany([]string{"fig2", "nope"}, Quick())
+	_, err := RunManyCtx(context.Background(), nil, []string{"fig2", "nope"}, Quick(), nil)
 	if err == nil {
 		t.Fatal("unknown name should error")
 	}

@@ -17,6 +17,7 @@ import (
 
 	"spp1000/internal/experiments"
 	"spp1000/internal/faultinject"
+	"spp1000/internal/machine"
 	"spp1000/internal/service"
 	"spp1000/internal/store"
 )
@@ -43,7 +44,7 @@ func TestBackendKillMidSweep(t *testing.T) {
 	// peer-probe — and evict — k2 until release.
 	survivorRunning := make(chan struct{}, 1)
 	blockedStub := func(entered chan<- struct{}) service.RunFunc {
-		return func(ctx context.Context, spec experiments.Spec) (string, error) {
+		return func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 			select {
 			case entered <- struct{}{}:
 			default: // nil channel, or a signal already pending
@@ -317,7 +318,7 @@ func TestPeerProbeStaleWindowRetry(t *testing.T) {
 // and the forward retries against the re-hashed owner, invisibly to
 // the client.
 func TestGatewayForwardFaultEvicts(t *testing.T) {
-	stub := func(ctx context.Context, spec experiments.Spec) (string, error) {
+	stub := func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 		return fmt.Sprintf("seed:%d", spec.Options.Seed), nil
 	}
 	g, ts := newTestGateway(t, Config{HeartbeatTTL: time.Hour})

@@ -23,6 +23,7 @@ import (
 
 	"spp1000/internal/experiments"
 	"spp1000/internal/load"
+	"spp1000/internal/machine"
 	"spp1000/internal/service"
 )
 
@@ -81,9 +82,9 @@ func startBackend(t *testing.T, g *Gateway, gwURL, id string, run service.RunFun
 	if run == nil {
 		run = service.DefaultRun
 	}
-	counted := func(ctx context.Context, spec experiments.Spec) (string, error) {
+	counted := func(ctx context.Context, env *machine.Env, spec experiments.Spec) (string, error) {
 		b.runs.Add(1)
-		return run(ctx, spec)
+		return run(ctx, env, spec)
 	}
 	b.srv = service.New(service.Config{
 		ID:        id,
@@ -379,7 +380,7 @@ func TestGatewaySubmitValidationAndUnavailable(t *testing.T) {
 // view add up exactly: per-backend lines re-sum to the cluster totals,
 // and the cluster job-lifecycle equation balances.
 func TestMergedMetricsReconcile(t *testing.T) {
-	stub := func(ctx context.Context, spec experiments.Spec) (string, error) {
+	stub := func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 		return fmt.Sprintf("seed:%d", spec.Options.Seed), nil
 	}
 	g, ts := newTestGateway(t, Config{HeartbeatTTL: time.Hour})

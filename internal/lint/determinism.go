@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -21,12 +22,15 @@ var wallClockFuncs = map[string]bool{
 // randomizes the order, so ranges that feed simulator state or output
 // must sort first or justify themselves), and goroutine spawns (host
 // concurrency belongs in internal/runner; the kernel's baton-passing
-// Procs are annotated at their two spawn sites). In host packages only
+// Procs are annotated at their two spawn sites), and package-level
+// variables of sync or sync/atomic type (process-global mutable state:
+// a run's workers, counter sink and totals travel in its machine.Env,
+// so concurrent runs cannot see each other's). In host packages only
 // the wall-clock check applies, so every legitimate host-side clock read
 // carries a visible //simlint:allow justification.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid wall-clock reads, math/rand, map iteration, and goroutine spawns in sim-core packages (wall-clock reads also flagged in host packages)",
+	Doc:  "forbid wall-clock reads, math/rand, map iteration, goroutine spawns, and package-level sync/atomic variables in sim-core packages (wall-clock reads also flagged in host packages)",
 	Run:  runDeterminism,
 }
 
@@ -37,6 +41,9 @@ func runDeterminism(pass *Pass) error {
 	}
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
+		if class == ClassSimCore {
+			reportSyncGlobals(pass, f)
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
@@ -72,4 +79,35 @@ func runDeterminism(pass *Pass) error {
 		})
 	}
 	return nil
+}
+
+// reportSyncGlobals flags every package-level variable of f whose type
+// (or pointed-to type) comes from sync or sync/atomic: a lock or atomic
+// at package scope is state every run in the process shares.
+func reportSyncGlobals(pass *Pass, f *ast.File) {
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.VAR {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			for _, name := range spec.(*ast.ValueSpec).Names {
+				obj := pass.Pkg.Info.Defs[name]
+				if obj == nil {
+					continue
+				}
+				t := obj.Type()
+				if p, ok := t.(*types.Pointer); ok {
+					t = p.Elem()
+				}
+				named, ok := t.(*types.Named)
+				if !ok || named.Obj().Pkg() == nil {
+					continue
+				}
+				if path := named.Obj().Pkg().Path(); path == "sync" || path == "sync/atomic" {
+					pass.Reportf(name.Pos(), "package-level %s.%s in sim-core package: process-global mutable state; carry per-run state in machine.Env", named.Obj().Pkg().Name(), named.Obj().Name())
+				}
+			}
+		}
+	}
 }

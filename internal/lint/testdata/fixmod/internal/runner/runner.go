@@ -2,7 +2,10 @@
 // goroutines and range maps, but wall-clock reads still need a reason.
 package runner
 
-import "time"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // Fan spawns a goroutine and ranges a map: both legal on the host side.
 func Fan(m map[int]int) int {
@@ -25,3 +28,9 @@ func StampAllowed() time.Time {
 	//simlint:allow determinism fixture: host-side lifecycle stamp
 	return time.Now()
 }
+
+// width is package-level host state: legal outside sim-core.
+var width atomic.Int64
+
+// Width reads it.
+func Width() int64 { return width.Load() }

@@ -17,6 +17,7 @@ import (
 
 	"spp1000/internal/experiments"
 	"spp1000/internal/load"
+	"spp1000/internal/machine"
 	"spp1000/internal/service"
 )
 
@@ -51,7 +52,7 @@ func testBody(op load.Op) []byte {
 func TestE2EReconcileAgainstLiveService(t *testing.T) {
 	srv := service.New(service.Config{
 		Workers: 4,
-		Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
+		Run: func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 			// A few hundred microseconds of honest work so cancels can
 			// race submits both ways; respects ctx like the real runner.
 			select {
@@ -148,7 +149,7 @@ func TestE2EReconcileUnderRejection(t *testing.T) {
 	srv := service.New(service.Config{
 		Workers:    1,
 		QueueDepth: 1,
-		Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
+		Run: func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 			select {
 			case <-ctx.Done():
 				return "", ctx.Err()

@@ -25,6 +25,9 @@ type Config struct {
 	// CacheLines scales down the per-CPU cache for fine-grained
 	// experiments (0 = the architectural 32768 lines).
 	CacheLines int
+	// Env is the run the machine belongs to: its counter sink and
+	// totals (nil = a run with neither).
+	Env *Env
 }
 
 // Machine is one simulated SPP-1000.
@@ -39,9 +42,11 @@ type Machine struct {
 	// Counters, when non-nil, is the machine's PMU-style counter
 	// registry, wired through every memory-system component and the
 	// thread runtime. Nil (the default) costs one pointer check per
-	// counted event. Enable with EnableCounters; machines built while a
-	// counters.Collector is attached enable themselves.
+	// counted event. Enable with EnableCounters; machines built with an
+	// Env that carries a Collector enable themselves.
 	Counters *counters.Registry
+
+	env *Env
 }
 
 // New builds a machine.
@@ -59,18 +64,19 @@ func New(cfg Config) (*Machine, error) {
 		Topo: topo,
 		P:    p,
 		Mem:  memsys.New(topo, p, cfg.CacheLines),
+		env:  cfg.Env,
 	}
-	if counters.Active() {
+	if cfg.Env.counting() {
 		m.EnableCounters()
 	}
 	return m, nil
 }
 
 // EnableCounters attaches a PMU-style counter registry to the machine
-// (idempotent) and returns it. Counter totals accumulate in
-// m.Counters and are published to any attached counters.Collector
-// sinks when Run completes. Enabling counters never changes simulated
-// timings — the counters live outside virtual time.
+// (idempotent) and returns it. Counter totals accumulate in m.Counters
+// and are published to the Env's collector, if any, when Run completes.
+// Enabling counters never changes simulated timings — the counters live
+// outside virtual time.
 func (m *Machine) EnableCounters() *counters.Registry {
 	if m.Counters == nil {
 		m.Counters = counters.NewRegistry()
@@ -128,11 +134,13 @@ func (m *Machine) SpawnAt(t sim.Cycles, name string, cpu topology.CPUID, fn func
 	return th
 }
 
-// Run executes the simulation to completion, then publishes any counter
-// deltas to the attached collector sinks.
+// Run executes the simulation to completion, then folds the kernel's
+// cycle and event deltas and any counter deltas into the machine's Env.
+// It is the only place a machine's work reaches its run's totals.
 func (m *Machine) Run() error {
 	err := m.K.Run()
-	counters.Publish(m.Counters)
+	cycles, events := m.K.Account()
+	m.env.fold(m.Counters, cycles, events)
 	return err
 }
 

@@ -6,6 +6,7 @@
 package microbench
 
 import (
+	"context"
 	"fmt"
 
 	"spp1000/internal/machine"
@@ -21,13 +22,14 @@ import (
 // The synthetic codes touch only a handful of cache lines, so a reduced
 // per-CPU cache geometry (identical timing — no capacity or conflict
 // pressure at these footprints) keeps the sweeps' host allocations low.
-func newMachine(hypernodes int) (*machine.Machine, error) {
-	return machine.New(machine.Config{Hypernodes: hypernodes, CacheLines: 4096})
+// The machine reports to env.
+func newMachine(env *machine.Env, hypernodes int) (*machine.Machine, error) {
+	return machine.New(machine.Config{Hypernodes: hypernodes, CacheLines: 4096, Env: env})
 }
 
 // ForkJoinCost measures one fork-join of n threads under the placement.
-func ForkJoinCost(hypernodes, n int, place threads.Placement) (sim.Cycles, error) {
-	m, err := newMachine(hypernodes)
+func ForkJoinCost(env *machine.Env, hypernodes, n int, place threads.Placement) (sim.Cycles, error) {
+	m, err := newMachine(env, hypernodes)
 	if err != nil {
 		return 0, err
 	}
@@ -37,16 +39,16 @@ func ForkJoinCost(hypernodes, n int, place threads.Placement) (sim.Cycles, error
 // ForkJoinSweep reproduces Fig. 2: fork-join time in microseconds versus
 // thread count, for high-locality and uniform placements. Each sweep
 // point is an independent simulation on its own machine, so the points
-// are dispatched through the host worker pool and assembled in order.
-func ForkJoinSweep(hypernodes, maxThreads int) (highLocality, uniform *stats.Series, err error) {
+// are dispatched through env's host worker pool and assembled in order.
+func ForkJoinSweep(env *machine.Env, hypernodes, maxThreads int) (highLocality, uniform *stats.Series, err error) {
 	type point struct{ hl, un sim.Cycles }
-	pts, err := runner.Map(maxThreads, func(i int) (point, error) {
+	pts, err := runner.MapCtx(context.Background(), env.Width(), maxThreads, func(i int) (point, error) {
 		n := i + 1
-		hl, err := ForkJoinCost(hypernodes, n, threads.HighLocality)
+		hl, err := ForkJoinCost(env, hypernodes, n, threads.HighLocality)
 		if err != nil {
 			return point{}, err
 		}
-		un, err := ForkJoinCost(hypernodes, n, threads.Uniform)
+		un, err := ForkJoinCost(env, hypernodes, n, threads.Uniform)
 		if err != nil {
 			return point{}, err
 		}
@@ -68,8 +70,8 @@ func ForkJoinSweep(hypernodes, maxThreads int) (highLocality, uniform *stats.Ser
 // last-in/first-out and last-in/last-out times. Arrivals are staggered
 // so the last arrival is unambiguous, as in the paper's method of
 // timestamping entry and exit per thread.
-func BarrierCost(hypernodes, n int, place threads.Placement) (lifo, lilo sim.Cycles, err error) {
-	m, err := newMachine(hypernodes)
+func BarrierCost(env *machine.Env, hypernodes, n int, place threads.Placement) (lifo, lilo sim.Cycles, err error) {
+	m, err := newMachine(env, hypernodes)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -93,7 +95,7 @@ func BarrierCost(hypernodes, n int, place threads.Placement) (lifo, lilo sim.Cyc
 
 // BarrierSweep reproduces Fig. 3: four curves (LIFO/LILO × high
 // locality/uniform) versus thread count, in microseconds.
-func BarrierSweep(hypernodes, maxThreads int) ([]*stats.Series, error) {
+func BarrierSweep(env *machine.Env, hypernodes, maxThreads int) ([]*stats.Series, error) {
 	series := []*stats.Series{
 		{Name: "LIFO high locality"},
 		{Name: "LILO high locality"},
@@ -101,11 +103,11 @@ func BarrierSweep(hypernodes, maxThreads int) ([]*stats.Series, error) {
 		{Name: "LILO uniform"},
 	}
 	type point struct{ lifo, lilo [2]sim.Cycles }
-	pts, err := runner.Map(maxThreads-1, func(i int) (point, error) {
+	pts, err := runner.MapCtx(context.Background(), env.Width(), maxThreads-1, func(i int) (point, error) {
 		n := i + 2
 		var pt point
 		for j, place := range []threads.Placement{threads.HighLocality, threads.Uniform} {
-			lifo, lilo, err := BarrierCost(hypernodes, n, place)
+			lifo, lilo, err := BarrierCost(env, hypernodes, n, place)
 			if err != nil {
 				return pt, err
 			}
@@ -129,8 +131,8 @@ func BarrierSweep(hypernodes, maxThreads int) ([]*stats.Series, error) {
 // MessageRoundTrip measures a PVM ping-pong of the given payload between
 // two CPUs of a two-hypernode machine. global selects a cross-hypernode
 // pair.
-func MessageRoundTrip(bytes int, global bool) (sim.Cycles, error) {
-	m, err := newMachine(2)
+func MessageRoundTrip(env *machine.Env, bytes int, global bool) (sim.Cycles, error) {
+	m, err := newMachine(env, 2)
 	if err != nil {
 		return 0, err
 	}
@@ -174,15 +176,15 @@ func MessageSizes() []int {
 
 // MessageSweep reproduces Fig. 4: round-trip time in microseconds versus
 // message size for a local pair and a cross-hypernode pair.
-func MessageSweep() (local, global *stats.Series, err error) {
+func MessageSweep(env *machine.Env) (local, global *stats.Series, err error) {
 	sizes := MessageSizes()
 	type point struct{ lt, gt sim.Cycles }
-	pts, err := runner.Map(len(sizes), func(i int) (point, error) {
-		lt, err := MessageRoundTrip(sizes[i], false)
+	pts, err := runner.MapCtx(context.Background(), env.Width(), len(sizes), func(i int) (point, error) {
+		lt, err := MessageRoundTrip(env, sizes[i], false)
 		if err != nil {
 			return point{}, err
 		}
-		gt, err := MessageRoundTrip(sizes[i], true)
+		gt, err := MessageRoundTrip(env, sizes[i], true)
 		if err != nil {
 			return point{}, err
 		}
@@ -206,11 +208,11 @@ func MessageSweep() (local, global *stats.Series, err error) {
 // single-hypernode experiments "showed little degradation as message
 // traffic was increased appreciably"; this measures how far that holds
 // across the rings.
-func ContentionRoundTrip(bytes, pairs, rounds int, singleRing bool) (sim.Cycles, error) {
+func ContentionRoundTrip(env *machine.Env, bytes, pairs, rounds int, singleRing bool) (sim.Cycles, error) {
 	if pairs < 1 || pairs > 4 {
 		return 0, fmt.Errorf("microbench: pairs must be 1..4 (one per FU), got %d", pairs)
 	}
-	m, err := newMachine(2)
+	m, err := newMachine(env, 2)
 	if err != nil {
 		return 0, err
 	}
@@ -262,15 +264,15 @@ func ContentionRoundTrip(bytes, pairs, rounds int, singleRing bool) (sim.Cycles,
 
 // ContentionSweep reports mean cross-hypernode RT vs. concurrent pairs,
 // with the architected four rings and with a hypothetical single ring.
-func ContentionSweep(bytes int) (four, one *stats.Series, err error) {
+func ContentionSweep(env *machine.Env, bytes int) (four, one *stats.Series, err error) {
 	type point struct{ four, one sim.Cycles }
-	pts, err := runner.Map(4, func(i int) (point, error) {
+	pts, err := runner.MapCtx(context.Background(), env.Width(), 4, func(i int) (point, error) {
 		pairs := i + 1
-		f, err := ContentionRoundTrip(bytes, pairs, 8, false)
+		f, err := ContentionRoundTrip(env, bytes, pairs, 8, false)
 		if err != nil {
 			return point{}, err
 		}
-		o, err := ContentionRoundTrip(bytes, pairs, 8, true)
+		o, err := ContentionRoundTrip(env, bytes, pairs, 8, true)
 		if err != nil {
 			return point{}, err
 		}
@@ -293,8 +295,8 @@ func ContentionSweep(bytes int) (four, one *stats.Series, err error) {
 // and by a CPU on hypernode 1, plus a warm re-read. It is the
 // quantitative version of the guidance the paper gives programmers
 // about placing data.
-func ClassLadder() (*stats.Table, error) {
-	m, err := newMachine(2)
+func ClassLadder(env *machine.Env) (*stats.Table, error) {
+	m, err := newMachine(env, 2)
 	if err != nil {
 		return nil, err
 	}
@@ -333,7 +335,7 @@ func ClassLadder() (*stats.Table, error) {
 // memory-class ladder for a CPU on hypernode 0 of a machine with the
 // given size — the cmd/sppsim inspection output.
 func LatencyProbe(hypernodes int) (*stats.Table, error) {
-	m, err := newMachine(hypernodes)
+	m, err := newMachine(nil, hypernodes)
 	if err != nil {
 		return nil, err
 	}

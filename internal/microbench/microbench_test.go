@@ -8,7 +8,7 @@ import (
 )
 
 func TestForkJoinSweepShape(t *testing.T) {
-	hl, un, err := ForkJoinSweep(2, 16)
+	hl, un, err := ForkJoinSweep(nil, 2, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestForkJoinSweepShape(t *testing.T) {
 }
 
 func TestBarrierSweepShape(t *testing.T) {
-	series, err := BarrierSweep(2, 16)
+	series, err := BarrierSweep(nil, 2, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestBarrierSweepShape(t *testing.T) {
 }
 
 func TestMessageSweepShape(t *testing.T) {
-	local, global, err := MessageSweep()
+	local, global, err := MessageSweep(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestLatencyProbe(t *testing.T) {
 }
 
 func TestClassLadder(t *testing.T) {
-	tb, err := ClassLadder()
+	tb, err := ClassLadder(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestClassLadder(t *testing.T) {
 }
 
 func TestContentionFlatOnFourRings(t *testing.T) {
-	four, one, err := ContentionSweep(16384)
+	four, one, err := ContentionSweep(nil, 16384)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +179,10 @@ func TestContentionFlatOnFourRings(t *testing.T) {
 		t.Errorf("single-ring RT should degrade: %.1f -> %.1f µs", o1, o4)
 	}
 	// Invalid pair counts rejected.
-	if _, err := ContentionRoundTrip(64, 0, 1, false); err == nil {
+	if _, err := ContentionRoundTrip(nil, 64, 0, 1, false); err == nil {
 		t.Error("0 pairs should be rejected")
 	}
-	if _, err := ContentionRoundTrip(64, 5, 1, false); err == nil {
+	if _, err := ContentionRoundTrip(nil, 64, 5, 1, false); err == nil {
 		t.Error("5 pairs should be rejected")
 	}
 }
@@ -190,11 +190,11 @@ func TestContentionFlatOnFourRings(t *testing.T) {
 func TestBarrierCostUniformUsesBothNodes(t *testing.T) {
 	// 2 uniform threads already cross hypernodes: LIFO must exceed the
 	// 2-thread local value.
-	lifoL, _, err := BarrierCost(2, 2, threads.HighLocality)
+	lifoL, _, err := BarrierCost(nil, 2, 2, threads.HighLocality)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lifoU, _, err := BarrierCost(2, 2, threads.Uniform)
+	lifoU, _, err := BarrierCost(nil, 2, 2, threads.Uniform)
 	if err != nil {
 		t.Fatal(err)
 	}

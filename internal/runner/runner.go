@@ -19,52 +19,42 @@ import (
 	"sync/atomic"
 )
 
-// workers is the configured pool width; 0 means "use GOMAXPROCS".
-var workers atomic.Int64
-
-// SetWorkers fixes the number of host workers used by Map and Each.
-// n <= 0 restores the default (GOMAXPROCS). SetWorkers(1) recovers the
-// exact serial execution order, which is useful for debugging and for
-// the determinism tests that compare serial and parallel output.
-func SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	workers.Store(int64(n))
-}
-
-// Workers reports the effective pool width.
-func Workers() int {
-	if n := workers.Load(); n > 0 {
-		return int(n)
+// Width reports the pool width a run asking for n workers gets: n
+// itself, or GOMAXPROCS when n <= 0. Width(1) recovers the exact serial
+// execution order, which is useful for debugging and for the
+// determinism tests that compare serial and parallel output.
+func Width(n int) int {
+	if n > 0 {
+		return n
 	}
 	return runtime.GOMAXPROCS(0)
 }
 
-// Map runs fn(0), …, fn(n-1) on the worker pool and returns the results
-// in index order. fn must be safe to call concurrently with itself —
-// in this repository that holds because every sweep point builds its
-// own machine. If any call fails, Map returns the error of the lowest
-// failing index (matching what a serial loop would have surfaced
-// first); results are discarded.
+// Map runs fn(0), …, fn(n-1) on a GOMAXPROCS-wide pool and returns the
+// results in index order. fn must be safe to call concurrently with
+// itself — in this repository that holds because every sweep point
+// builds its own machine. If any call fails, Map returns the error of
+// the lowest failing index (matching what a serial loop would have
+// surfaced first); results are discarded.
 func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), n, fn)
+	return MapCtx(context.Background(), 0, n, fn)
 }
 
-// MapCtx is Map with cancellation: once ctx is done, no further indices
-// are dispatched. Sweep points already executing run to completion (each
-// is a self-contained deterministic simulation with no cancellation
-// points inside), so cancelling stops the queue, not the in-flight work.
+// MapCtx is Map with an explicit pool width (see Width) and
+// cancellation: once ctx is done, no further indices are dispatched.
+// Sweep points already executing run to completion (each is a
+// self-contained deterministic simulation with no cancellation points
+// inside), so cancelling stops the queue, not the in-flight work.
 // Undispatched indices report ctx's error, so a cancelled MapCtx returns
 // a non-nil error wrapping context.Canceled / DeadlineExceeded. With a
-// never-cancelled ctx the dispatch order, results, and errors are
-// exactly Map's — the byte-identical -par semantics are untouched.
-func MapCtx[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, error) {
+// never-cancelled ctx the results and errors are the same at every
+// width — the byte-identical -par semantics.
+func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
 	out := make([]T, n)
-	w := Workers()
+	w := Width(workers)
 	if w > n {
 		w = n
 	}
@@ -110,23 +100,19 @@ func MapCtx[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, 
 	return out, nil
 }
 
-// Each is Map for side-effecting work with no result value.
-func Each(n int, fn func(i int) error) error {
-	return EachCtx(context.Background(), n, fn)
-}
-
-// EachCtx is MapCtx for side-effecting work with no result value.
-func EachCtx(ctx context.Context, n int, fn func(i int) error) error {
-	_, err := MapCtx(ctx, n, func(i int) (struct{}, error) {
+// Each is MapCtx for side-effecting work with no result value and no
+// cancellation.
+func Each(workers, n int, fn func(i int) error) error {
+	_, err := MapCtx(context.Background(), workers, n, func(i int) (struct{}, error) {
 		return struct{}{}, fn(i)
 	})
 	return err
 }
 
 // Sections runs a set of heterogeneous independent stages — each
-// rendering its own fragment — and returns the fragments in order.
-// It is the pool-dispatch form of "run these report sections, then
-// concatenate".
-func Sections(fns ...func() (string, error)) ([]string, error) {
-	return Map(len(fns), func(i int) (string, error) { return fns[i]() })
+// rendering its own fragment — on a pool of the given width and returns
+// the fragments in order. It is the pool-dispatch form of "run these
+// report sections, then concatenate".
+func Sections(workers int, fns ...func() (string, error)) ([]string, error) {
+	return MapCtx(context.Background(), workers, len(fns), func(i int) (string, error) { return fns[i]() })
 }

@@ -10,16 +10,9 @@ import (
 	"testing"
 )
 
-func withWorkers(t *testing.T, n int) {
-	t.Helper()
-	SetWorkers(n)
-	t.Cleanup(func() { SetWorkers(0) })
-}
-
 func TestMapOrdersResults(t *testing.T) {
 	for _, w := range []int{1, 2, 4, 9} {
-		withWorkers(t, w)
-		got, err := Map(100, func(i int) (int, error) { return i * i, nil })
+		got, err := MapCtx(context.Background(), w, 100, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,8 +34,7 @@ func TestMapEmpty(t *testing.T) {
 func TestMapReportsLowestFailingIndex(t *testing.T) {
 	sentinel := errors.New("boom")
 	for _, w := range []int{1, 4} {
-		withWorkers(t, w)
-		_, err := Map(50, func(i int) (int, error) {
+		_, err := MapCtx(context.Background(), w, 50, func(i int) (int, error) {
 			if i == 7 || i == 33 {
 				return 0, fmt.Errorf("%w at %d", sentinel, i)
 			}
@@ -61,10 +53,9 @@ func TestMapActuallyRunsConcurrently(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 1 {
 		t.Skip("no cores")
 	}
-	withWorkers(t, 4)
 	var peak, cur atomic.Int64
 	gate := make(chan struct{})
-	_, err := Map(4, func(i int) (int, error) {
+	_, err := MapCtx(context.Background(), 4, 4, func(i int) (int, error) {
 		c := cur.Add(1)
 		if c > peak.Load() {
 			peak.Store(c)
@@ -84,39 +75,33 @@ func TestMapActuallyRunsConcurrently(t *testing.T) {
 	}
 }
 
-func TestSetWorkers(t *testing.T) {
-	withWorkers(t, 3)
-	if Workers() != 3 {
-		t.Fatalf("Workers() = %d, want 3", Workers())
+func TestWidth(t *testing.T) {
+	if Width(3) != 3 {
+		t.Fatalf("Width(3) = %d, want 3", Width(3))
 	}
-	SetWorkers(0)
-	if Workers() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers() = %d, want GOMAXPROCS", Workers())
-	}
-	SetWorkers(-5)
-	if Workers() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("negative SetWorkers should restore the default")
+	for _, n := range []int{0, -5} {
+		if Width(n) != runtime.GOMAXPROCS(0) {
+			t.Fatalf("Width(%d) = %d, want GOMAXPROCS", n, Width(n))
+		}
 	}
 }
 
 func TestEach(t *testing.T) {
-	withWorkers(t, 4)
 	var sum atomic.Int64
-	if err := Each(64, func(i int) error { sum.Add(int64(i)); return nil }); err != nil {
+	if err := Each(4, 64, func(i int) error { sum.Add(int64(i)); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if sum.Load() != 64*63/2 {
 		t.Fatalf("sum = %d, want %d", sum.Load(), 64*63/2)
 	}
-	if err := Each(3, func(i int) error { return errors.New("x") }); err == nil {
+	if err := Each(4, 3, func(i int) error { return errors.New("x") }); err == nil {
 		t.Fatal("Each should surface errors")
 	}
 }
 
 func TestMapCtxMatchesMap(t *testing.T) {
 	for _, w := range []int{1, 4} {
-		withWorkers(t, w)
-		got, err := MapCtx(context.Background(), 32, func(i int) (int, error) { return i + 1, nil })
+		got, err := MapCtx(context.Background(), w, 32, func(i int) (int, error) { return i + 1, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,11 +119,10 @@ func TestMapCtxMatchesMap(t *testing.T) {
 
 func TestMapCtxCancelStopsDispatch(t *testing.T) {
 	for _, w := range []int{1, 4} {
-		withWorkers(t, w)
 		ctx, cancel := context.WithCancel(context.Background())
 		var dispatched atomic.Int64
 		const n = 1000
-		_, err := MapCtx(ctx, n, func(i int) (int, error) {
+		_, err := MapCtx(ctx, w, n, func(i int) (int, error) {
 			if dispatched.Add(1) == int64(w) {
 				cancel() // cancel once every worker has claimed one point
 			}
@@ -156,11 +140,10 @@ func TestMapCtxCancelStopsDispatch(t *testing.T) {
 }
 
 func TestMapCtxPreCancelledRunsNothing(t *testing.T) {
-	withWorkers(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	_, err := MapCtx(ctx, 16, func(i int) (int, error) { ran.Add(1); return i, nil })
+	_, err := MapCtx(ctx, 4, 16, func(i int) (int, error) { ran.Add(1); return i, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -172,20 +155,8 @@ func TestMapCtxPreCancelledRunsNothing(t *testing.T) {
 	}
 }
 
-func TestEachCtx(t *testing.T) {
-	withWorkers(t, 2)
-	var sum atomic.Int64
-	if err := EachCtx(context.Background(), 10, func(i int) error { sum.Add(int64(i)); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 45 {
-		t.Fatalf("sum = %d, want 45", sum.Load())
-	}
-}
-
 func TestSections(t *testing.T) {
-	withWorkers(t, 2)
-	got, err := Sections(
+	got, err := Sections(2,
 		func() (string, error) { return "a", nil },
 		func() (string, error) { return "b", nil },
 		func() (string, error) { return "c", nil },

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"spp1000/internal/experiments"
+	"spp1000/internal/machine"
 	"spp1000/internal/store"
 )
 
@@ -29,7 +30,7 @@ func TestDeadlineCheckpointsThenResumes(t *testing.T) {
 	var calls atomic.Int64
 	var resumedFrom atomic.Value // string: the prior bytes the second run saw
 	_, ts := newTestServer(t, Config{
-		RunCheckpointed: func(ctx context.Context, spec experiments.Spec, prior []byte, save func([]byte) error) (string, []byte, error) {
+		RunCheckpointed: func(ctx context.Context, _ *machine.Env, spec experiments.Spec, prior []byte, save func([]byte) error) (string, []byte, error) {
 			if calls.Add(1) == 1 {
 				if err := save([]byte("prefix-after-fig2")); err != nil {
 					return "", nil, err
@@ -81,7 +82,7 @@ func TestDeadlineCheckpointsThenResumes(t *testing.T) {
 // plain "timeout", exactly as under the non-checkpointing runner.
 func TestDeadlineWithoutProgressIsTimeout(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		RunCheckpointed: func(ctx context.Context, spec experiments.Spec, prior []byte, save func([]byte) error) (string, []byte, error) {
+		RunCheckpointed: func(ctx context.Context, _ *machine.Env, spec experiments.Spec, prior []byte, save func([]byte) error) (string, []byte, error) {
 			<-ctx.Done()
 			return "", nil, ctx.Err() // zero experiments completed: no partial
 		},
@@ -111,7 +112,7 @@ func TestRestartResumesFromStoredCheckpoint(t *testing.T) {
 	}
 	s1 := New(Config{
 		Store: st1,
-		RunCheckpointed: func(ctx context.Context, spec experiments.Spec, prior []byte, save func([]byte) error) (string, []byte, error) {
+		RunCheckpointed: func(ctx context.Context, _ *machine.Env, spec experiments.Spec, prior []byte, save func([]byte) error) (string, []byte, error) {
 			if err := save([]byte("durable-prefix")); err != nil {
 				return "", nil, err
 			}
@@ -143,7 +144,7 @@ func TestRestartResumesFromStoredCheckpoint(t *testing.T) {
 	var resumedFrom atomic.Value
 	_, ts2 := newTestServer(t, Config{
 		Store: st2,
-		RunCheckpointed: func(ctx context.Context, spec experiments.Spec, prior []byte, save func([]byte) error) (string, []byte, error) {
+		RunCheckpointed: func(ctx context.Context, _ *machine.Env, spec experiments.Spec, prior []byte, save func([]byte) error) (string, []byte, error) {
 			resumedFrom.Store(string(prior))
 			return "finished in the second life", nil, nil
 		},
@@ -190,7 +191,7 @@ func TestDefaultRunnerCheckpointsRealEngine(t *testing.T) {
 	firstBoundary := make(chan struct{})
 	var once atomic.Bool
 	_, ts := newTestServer(t, Config{
-		RunCheckpointed: func(ctx context.Context, spec experiments.Spec, prior []byte, save func([]byte) error) (string, []byte, error) {
+		RunCheckpointed: func(ctx context.Context, env *machine.Env, spec experiments.Spec, prior []byte, save func([]byte) error) (string, []byte, error) {
 			wrapped := func(b []byte) error {
 				if once.CompareAndSwap(false, true) {
 					close(firstBoundary)
@@ -200,7 +201,7 @@ func TestDefaultRunnerCheckpointsRealEngine(t *testing.T) {
 				}
 				return save(b)
 			}
-			return DefaultRunCheckpointed(ctx, spec, prior, wrapped)
+			return DefaultRunCheckpointed(ctx, env, spec, prior, wrapped)
 		},
 	})
 	v, code := submit(t, ts, `{"experiments":["fig2","fig3"],"quick":true,"timeout":"150ms"}`)

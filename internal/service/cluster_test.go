@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"spp1000/internal/experiments"
+	"spp1000/internal/machine"
 	"spp1000/internal/store"
 )
 
@@ -21,7 +22,7 @@ import (
 // X-Spp-Backend header on every response. A standalone daemon (no ID)
 // must emit neither.
 func TestBackendIdentitySurfaces(t *testing.T) {
-	_, ts := newTestServer(t, Config{ID: "node7", Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
+	_, ts := newTestServer(t, Config{ID: "node7", Run: func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 		return "ok", nil
 	}})
 
@@ -52,7 +53,7 @@ func TestBackendIdentitySurfaces(t *testing.T) {
 		t.Fatalf("healthz X-Spp-Backend = %q, want node7", hdr)
 	}
 
-	_, solo := newTestServer(t, Config{Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
+	_, solo := newTestServer(t, Config{Run: func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 		return "ok", nil
 	}})
 	sv, code := submit(t, solo, seedBody(1))
@@ -79,7 +80,7 @@ func TestPeerFetchHookServesWithoutRunning(t *testing.T) {
 	var runs, fetches atomic.Int64
 	_, ts := newTestServer(t, Config{
 		ID: "warm1",
-		Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
+		Run: func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 			runs.Add(1)
 			return "computed", nil
 		},
@@ -132,7 +133,7 @@ func TestPeerFetchMissFallsThrough(t *testing.T) {
 	var runs atomic.Int64
 	_, ts := newTestServer(t, Config{
 		ID: "cold1",
-		Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
+		Run: func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 			runs.Add(1)
 			return "computed", nil
 		},
@@ -162,7 +163,7 @@ func TestPeerFetchMissFallsThrough(t *testing.T) {
 // well-formed unknown keys 404, malformed keys 400 (store.ValidKey is
 // the arbiter), and a known key serves a CRC-framed entry.
 func TestStoreExportValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
+	_, ts := newTestServer(t, Config{Run: func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 		return "payload", nil
 	}})
 	v, code := submit(t, ts, seedBody(3))

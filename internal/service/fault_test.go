@@ -22,6 +22,7 @@ import (
 	"spp1000/internal/experiments"
 	"spp1000/internal/faultinject"
 	"spp1000/internal/load"
+	"spp1000/internal/machine"
 	"spp1000/internal/store"
 )
 
@@ -47,7 +48,7 @@ func seedBody(seed int) string {
 func TestJobTimeoutReachesTimeoutStatus(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		JobTimeout: 20 * time.Millisecond,
-		Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
+		Run: func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 			<-ctx.Done() // a real run stops dispatching sweep points here
 			return "", ctx.Err()
 		},
@@ -74,7 +75,7 @@ func TestPerRequestTimeoutOverride(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		// Daemon default is generous; the request overrides it down.
 		JobTimeout: time.Hour,
-		Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
+		Run: func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 			if calls.Add(1) == 1 {
 				<-ctx.Done()
 				return "", ctx.Err()
@@ -105,7 +106,7 @@ func TestPerRequestTimeoutOverride(t *testing.T) {
 // failed (not cached), and once the fault clears a resubmission runs
 // for real.
 func TestFaultInjectedFailingRun(t *testing.T) {
-	_, ts := newTestServer(t, Config{Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
+	_, ts := newTestServer(t, Config{Run: func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 		return "healthy", nil
 	}})
 	disarm := faultinject.Arm(faultinject.RunStart, func(...string) error {
@@ -139,7 +140,7 @@ func TestFaultInjectedFailingRun(t *testing.T) {
 // stalled in-flight jobs still complete once the fault clears.
 func TestFaultInjectedSlowRunsFillQueue(t *testing.T) {
 	_, ts := newTestServer(t, Config{QueueDepth: 1, Workers: 1,
-		Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
+		Run: func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 			return "completed despite overload", nil
 		}})
 
@@ -220,7 +221,7 @@ func TestKillAndRestartServesFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts2 := newTestServer(t, Config{Store: st2, Run: func(context.Context, experiments.Spec) (string, error) {
+	_, ts2 := newTestServer(t, Config{Store: st2, Run: func(context.Context, *machine.Env, experiments.Spec) (string, error) {
 		return "", errors.New("restarted daemon must not re-simulate a stored result")
 	}})
 	v2, code := submit(t, ts2, body)
@@ -257,7 +258,7 @@ func TestTornStoreWriteRecomputedNotServed(t *testing.T) {
 	dir := t.TempDir()
 	body := seedBody(7)
 	var runs atomic.Int64
-	runFn := func(ctx context.Context, spec experiments.Spec) (string, error) {
+	runFn := func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 		runs.Add(1)
 		return "the one true result", nil
 	}

@@ -5,17 +5,11 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-
-	"spp1000/internal/sim"
 )
-
-// simCycles indirects sim.TotalCycles so the cycle source is obvious at
-// the one call site that samples it.
-func simCycles() int64 { return sim.TotalCycles() }
 
 // handleMetrics renders the daemon's gauges and counters in the
 // conventional one-per-line `name value` text form. The throughput
-// gauge divides the simulated cycles retired since the daemon started
+// gauge divides the simulated cycles this server's jobs have retired
 // by its wall uptime: simulated-cycles-per-wall-second is the
 // end-to-end figure of merit for the whole engine (kernel fast path ×
 // host parallelism × cache hits all move it).
@@ -24,7 +18,7 @@ func simCycles() int64 { return sim.TotalCycles() }
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	cs := s.cache.Stats()
 	uptime := s.cfg.Now().Sub(s.started).Seconds()
-	cycles := simCycles() - s.startCycles
+	cycles := s.sim.SimCycles()
 	perSec := 0.0
 	if uptime > 0 {
 		perSec = float64(cycles) / uptime

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"spp1000/internal/experiments"
+	"spp1000/internal/machine"
 )
 
 // expect accumulates the transition counts the driving test knows must
@@ -74,7 +75,7 @@ func cancelJob(t *testing.T, ts *httptest.Server, id string) (JobView, int) {
 
 func TestMetricsReconcileAfterInterleaving(t *testing.T) {
 	release1 := make(chan struct{})
-	run := func(ctx context.Context, spec experiments.Spec) (string, error) {
+	run := func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 		switch spec.Options.Seed {
 		case 1:
 			<-release1
@@ -225,7 +226,7 @@ func TestMetricsReconcileConcurrent(t *testing.T) {
 	)
 	var runs atomic.Int64
 	_, ts := newTestServer(t, Config{QueueDepth: 256, Workers: 4,
-		Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
+		Run: func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 			runs.Add(1)
 			if spec.Options.Seed >= 1000 {
 				<-ctx.Done()

@@ -23,20 +23,22 @@ import (
 	"spp1000/internal/counters"
 	"spp1000/internal/experiments"
 	"spp1000/internal/faultinject"
+	"spp1000/internal/machine"
 	"spp1000/internal/resultcache"
 	"spp1000/internal/snapshot"
 )
 
-// RunFunc executes one normalized spec and returns its rendered result.
-// It must honor ctx cancellation by stopping the dispatch of further
-// work. The default (DefaultRun) renders the named experiments exactly
-// as `sppbench -exp` does; tests substitute counters and stubs.
-type RunFunc func(ctx context.Context, spec experiments.Spec) (string, error)
+// RunFunc executes one normalized spec under the job's run environment
+// env and returns its rendered result. It must honor ctx cancellation by
+// stopping the dispatch of further work. The default (DefaultRun)
+// renders the named experiments exactly as `sppbench -exp` does; tests
+// substitute counters and stubs.
+type RunFunc func(ctx context.Context, env *machine.Env, spec experiments.Spec) (string, error)
 
 // DefaultRun renders spec's experiments with the sppbench banner
-// format, dispatching through the host worker pool.
-func DefaultRun(ctx context.Context, spec experiments.Spec) (string, error) {
-	outs, err := experiments.RunManyCtx(ctx, spec.Experiments, spec.Options)
+// format, dispatching through env's host worker pool.
+func DefaultRun(ctx context.Context, env *machine.Env, spec experiments.Spec) (string, error) {
+	outs, err := experiments.RunManyCtx(ctx, env, spec.Experiments, spec.Options, nil)
 	if err != nil {
 		return "", err
 	}
@@ -54,22 +56,22 @@ func renderBanners(names, outs []string) string {
 	return b.String()
 }
 
-// CheckpointRunFunc executes one normalized spec with checkpoint
-// support. prior is the encoded checkpoint of an earlier interrupted
-// run of the same spec (nil to start fresh; implementations must treat
-// undecodable or mismatched bytes as absent). save persists an encoded
+// CheckpointRunFunc executes one normalized spec under env with
+// checkpoint support. prior is the encoded checkpoint of an earlier
+// interrupted run of the same spec (nil to start fresh; implementations
+// must treat undecodable or mismatched bytes as absent). save persists an encoded
 // checkpoint at each boundary. On success the partial return is nil; on
 // a ctx error it carries the completed-prefix checkpoint (nil when
 // nothing completed), which the daemon keeps so a resubmission resumes
 // instead of recomputing.
-type CheckpointRunFunc func(ctx context.Context, spec experiments.Spec, prior []byte, save func([]byte) error) (result string, partial []byte, err error)
+type CheckpointRunFunc func(ctx context.Context, env *machine.Env, spec experiments.Spec, prior []byte, save func([]byte) error) (result string, partial []byte, err error)
 
 // DefaultRunCheckpointed renders spec's experiments exactly like
 // DefaultRun, but through the resumable experiments.RunCheckpointed
 // driver: a checkpoint is saved after every completed experiment, a
 // valid prior checkpoint skips its completed prefix, and a deadline that
 // fires mid-suite returns the work done so far as a partial checkpoint.
-func DefaultRunCheckpointed(ctx context.Context, spec experiments.Spec, prior []byte, save func([]byte) error) (string, []byte, error) {
+func DefaultRunCheckpointed(ctx context.Context, env *machine.Env, spec experiments.Spec, prior []byte, save func([]byte) error) (string, []byte, error) {
 	var pc *snapshot.Checkpoint
 	if len(prior) > 0 {
 		// Undecodable or wrong-spec prior bytes mean "no checkpoint":
@@ -82,7 +84,7 @@ func DefaultRunCheckpointed(ctx context.Context, spec experiments.Spec, prior []
 	if save != nil {
 		saveCp = func(c *snapshot.Checkpoint) error { return save(c.Encode()) }
 	}
-	outs, cp, err := experiments.RunCheckpointed(ctx, spec.Experiments, spec.Options, pc, 1, saveCp)
+	outs, cp, err := experiments.RunCheckpointed(ctx, env, spec.Experiments, spec.Options, pc, 1, saveCp)
 	if err != nil {
 		var partial []byte
 		if cp != nil && len(cp.Done) > 0 {
@@ -104,6 +106,9 @@ type Config struct {
 	// default is 1; raising it trades per-job latency for throughput
 	// when jobs are small.
 	Workers int
+	// Par is the host pool width each job's sweep points fan out over
+	// (sppd -par; 0 = GOMAXPROCS, 1 = serial).
+	Par int
 	// CacheCapacity bounds the completed results kept for reuse
 	// (oldest-first eviction). 0 means unbounded. Default 256.
 	CacheCapacity int
@@ -245,12 +250,12 @@ type Server struct {
 
 	wg sync.WaitGroup // worker goroutines
 
-	started     time.Time
-	startCycles int64
+	started time.Time
 
-	// sim aggregates the PMU counters of every simulation the daemon
-	// runs, for /metrics; attached for the server's lifetime.
-	sim *counters.Collector
+	// sim aggregates the sim totals and PMU counters of every job this
+	// server has run, for /metrics. It is the parent of every job's Env,
+	// so it advances as each of a job's simulations finishes.
+	sim *machine.Env
 
 	// cumulative counters (atomics: read by /metrics without the lock)
 	submitted    atomic.Int64 // all submissions (incl. deduped and rejected)
@@ -272,15 +277,13 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:         cfg,
-		cache:       resultcache.NewWithBacking(cfg.CacheCapacity, cfg.Store),
-		jobs:        make(map[string]*job),
-		queue:       make(chan *job, cfg.QueueDepth),
-		started:     cfg.Now(),
-		startCycles: simCycles(),
-		sim:         counters.NewCollector(),
+		cfg:     cfg,
+		cache:   resultcache.NewWithBacking(cfg.CacheCapacity, cfg.Store),
+		jobs:    make(map[string]*job),
+		queue:   make(chan *job, cfg.QueueDepth),
+		started: cfg.Now(),
+		sim:     &machine.Env{Counters: counters.NewCollector()},
 	}
-	counters.Attach(s.sim)
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
@@ -459,15 +462,12 @@ func (s *Server) runJob(j *job) {
 	}
 	defer cancelRun()
 
-	// Per-job PMU attribution: every machine built while this collector
-	// is attached enables counters and publishes into it on completion.
-	// Attribution is exact at the default Workers=1; with concurrent
-	// jobs, each collector sees the union of whatever ran during its
-	// window (the /metrics aggregate stays exact either way). A
-	// cache-hit or coalesced job runs no simulation, so its snapshot is
-	// empty or partial by design.
-	jobCol := counters.NewCollector()
-	counters.Attach(jobCol)
+	// Per-job attribution: every machine this job builds reports to its
+	// own Env, so its counters and sim totals are exactly its own at
+	// any Workers. A cache-hit or coalesced job runs no simulation, so
+	// its Env stays empty. The server's aggregate is its parent, so the
+	// /metrics sim totals advance with every simulation the job finishes.
+	env := &machine.Env{Workers: s.cfg.Par, Counters: counters.NewCollector(), Parent: s.sim}
 	// peerFetched and partial are written only inside fn, which Do runs
 	// synchronously on this goroutine (followers coalesce, they never
 	// call fn), so plain variables are race-free.
@@ -491,13 +491,12 @@ func (s *Server) runJob(j *job) {
 			}
 		}
 		if s.cfg.RunCheckpointed != nil {
-			out, part, rerr := s.cfg.RunCheckpointed(runCtx, j.spec, prior, s.saveCheckpoint(j))
+			out, part, rerr := s.cfg.RunCheckpointed(runCtx, env, j.spec, prior, s.saveCheckpoint(j))
 			partial = part
 			return out, rerr
 		}
-		return s.cfg.Run(runCtx, j.spec)
+		return s.cfg.Run(runCtx, env, j.spec)
 	})
-	counters.Detach(jobCol)
 
 	s.runningN.Add(-1)
 	s.mu.Lock()
@@ -518,7 +517,7 @@ func (s *Server) runJob(j *job) {
 			_ = st.Delete(checkpointKey(j.id))
 		}
 		if !j.cached {
-			if flat := jobCol.Snapshot().Flatten(); len(flat) > 0 {
+			if flat := env.Counters.Snapshot().Flatten(); len(flat) > 0 {
 				j.counters = flat
 			}
 		}
@@ -675,7 +674,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-drained:
-		counters.Detach(s.sim)
 		return nil
 	case <-ctx.Done():
 	}
@@ -687,14 +685,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 	<-drained
-	counters.Detach(s.sim)
 	return ctx.Err()
 }
 
-// SimCounters snapshots the daemon-lifetime PMU aggregate across every
-// simulation run so far (the sppd_sim_counter_* lines of /metrics).
+// SimCounters snapshots the PMU aggregate of every simulation this
+// server's jobs have run (the sppd_sim_counter_* lines of /metrics).
 func (s *Server) SimCounters() counters.Snapshot {
-	return s.sim.Snapshot()
+	return s.sim.Counters.Snapshot()
 }
 
 // JobView is the wire representation of a job.
@@ -716,8 +713,8 @@ type JobView struct {
 	FinishedAt  string `json:"finishedAt,omitempty"`
 	// Counters is the flattened PMU snapshot of this job's simulations
 	// ("group.counter" → value), present once the job is done. Empty for
-	// cache-served jobs — they ran nothing. Attribution is exact at the
-	// daemon's default Workers=1; see docs/OBSERVABILITY.md.
+	// cache-served jobs — they ran nothing. Exact at any Workers: each
+	// job's machines report to its own Env; see docs/OBSERVABILITY.md.
 	Counters map[string]int64 `json:"counters,omitempty"`
 }
 

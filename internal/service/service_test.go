@@ -16,6 +16,7 @@ import (
 
 	"spp1000/internal/apps/nbody"
 	"spp1000/internal/experiments"
+	"spp1000/internal/machine"
 )
 
 // newTestServer wires a Server with the given RunFunc to a live
@@ -93,7 +94,7 @@ func getResult(t *testing.T, ts *httptest.Server, id string) (string, *http.Resp
 // without running the simulation again.
 func TestSubmitTwiceServesFromCache(t *testing.T) {
 	var runs atomic.Int64
-	_, ts := newTestServer(t, Config{Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
+	_, ts := newTestServer(t, Config{Run: func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 		runs.Add(1)
 		return "result:" + spec.Experiments[0], nil
 	}})
@@ -131,7 +132,7 @@ func TestConcurrentIdenticalSubmissionsCoalesce(t *testing.T) {
 	var runs atomic.Int64
 	started := make(chan struct{})
 	release := make(chan struct{})
-	_, ts := newTestServer(t, Config{Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
+	_, ts := newTestServer(t, Config{Run: func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 		runs.Add(1)
 		close(started)
 		<-release
@@ -180,7 +181,7 @@ func TestConcurrentIdenticalSubmissionsCoalesce(t *testing.T) {
 
 func TestDistinctSpecsRunSeparately(t *testing.T) {
 	var runs atomic.Int64
-	_, ts := newTestServer(t, Config{Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
+	_, ts := newTestServer(t, Config{Run: func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 		runs.Add(1)
 		return spec.Experiments[0], nil
 	}})
@@ -197,7 +198,7 @@ func TestDistinctSpecsRunSeparately(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{Run: func(context.Context, experiments.Spec) (string, error) {
+	_, ts := newTestServer(t, Config{Run: func(context.Context, *machine.Env, experiments.Spec) (string, error) {
 		return "", nil
 	}})
 	for _, body := range []string{
@@ -225,7 +226,7 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestAliasExpansion(t *testing.T) {
-	_, ts := newTestServer(t, Config{Run: func(context.Context, experiments.Spec) (string, error) {
+	_, ts := newTestServer(t, Config{Run: func(context.Context, *machine.Env, experiments.Spec) (string, error) {
 		return "", nil
 	}})
 	v, code := submit(t, ts, `{"experiments":["all"],"quick":true}`)
@@ -240,7 +241,7 @@ func TestAliasExpansion(t *testing.T) {
 func TestQueueBoundRejectsWith503(t *testing.T) {
 	release := make(chan struct{})
 	_, ts := newTestServer(t, Config{QueueDepth: 1, Workers: 1,
-		Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
+		Run: func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 			<-release
 			return "", nil
 		}})
@@ -260,7 +261,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	var runs atomic.Int64
 	release := make(chan struct{})
 	_, ts := newTestServer(t, Config{Workers: 1,
-		Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
+		Run: func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 			runs.Add(1)
 			<-release
 			return "", nil
@@ -300,7 +301,7 @@ func TestCancelQueuedJob(t *testing.T) {
 
 func TestCancelRunningJobStopsIt(t *testing.T) {
 	started := make(chan struct{})
-	_, ts := newTestServer(t, Config{Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
+	_, ts := newTestServer(t, Config{Run: func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 		close(started)
 		<-ctx.Done() // a real run would stop dispatching sweep points
 		return "", ctx.Err()
@@ -319,7 +320,7 @@ func TestCancelRunningJobStopsIt(t *testing.T) {
 func TestShutdownDrainsRunningJobs(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
-	s := New(Config{Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
+	s := New(Config{Run: func(ctx context.Context, _ *machine.Env, spec experiments.Spec) (string, error) {
 		close(started)
 		<-release
 		return "drained", nil
@@ -361,7 +362,7 @@ func TestShutdownDrainsRunningJobs(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{Run: func(context.Context, experiments.Spec) (string, error) {
+	_, ts := newTestServer(t, Config{Run: func(context.Context, *machine.Env, experiments.Spec) (string, error) {
 		return "x", nil
 	}})
 	v, _ := submit(t, ts, `{"experiments":["fig2"],"quick":true}`)

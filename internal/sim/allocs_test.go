@@ -9,7 +9,7 @@ import (
 // the heap allocations its whole Run makes. The Proc is spawned before
 // the first reading, so only the event loop itself is measured: pop →
 // clock advance → resumeProc → Delay → atProc push, n times over, then
-// the Proc's exit and the final accounting.
+// the Proc's exit.
 func runMallocs(t *testing.T, n int) uint64 {
 	t.Helper()
 	k := NewKernel()

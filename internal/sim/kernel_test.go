@@ -372,15 +372,19 @@ func TestProcIsolationProperty(t *testing.T) {
 	}
 }
 
-// TestTotalCyclesAccounting: the process-wide cycle counter advances by
-// exactly the virtual time a kernel covers, and repeated Run calls on
-// one kernel never double-count.
+// TestTotalCyclesAccounting: Account returns exactly the virtual time
+// and events a kernel covered since the last call, the process-wide
+// total advances by exactly that much, and repeated calls never
+// double-count.
 func TestTotalCyclesAccounting(t *testing.T) {
 	k := NewKernel()
 	k.At(120, func() {})
 	before := TotalCycles()
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if c, e := k.Account(); c != 120 || e != 1 {
+		t.Fatalf("after first Run: Account = (%d, %d), want (120, 1)", c, e)
 	}
 	if d := TotalCycles() - before; d != 120 {
 		t.Fatalf("after first Run: accounted %d cycles, want 120", d)
@@ -389,6 +393,9 @@ func TestTotalCyclesAccounting(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if c, e := k.Account(); c != 130 || e != 1 {
+		t.Fatalf("after second Run: Account = (%d, %d), want the (130, 1) delta", c, e)
+	}
 	if d := TotalCycles() - before; d != 250 {
 		t.Fatalf("after second Run: accounted %d cycles, want 250 total", d)
 	}
@@ -396,14 +403,18 @@ func TestTotalCyclesAccounting(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if c, e := k.Account(); c != 0 || e != 0 {
+		t.Fatalf("idle Run accounted (%d, %d), want nothing", c, e)
+	}
 	if d := TotalCycles() - before; d != 250 {
 		t.Fatalf("idle Run changed the account to %d", d)
 	}
 }
 
-// TestPerKernelAccounting: the process-wide TotalEvents and TotalCycles
-// are sums over kernels — two kernels run back to back each add their
-// own work, and idle re-runs add nothing further.
+// TestPerKernelAccounting: each kernel accounts only its own work — two
+// kernels run back to back report their own cycles and events — the
+// process-wide TotalEvents and TotalCycles are sums over kernels, and
+// idle re-runs account nothing further.
 func TestPerKernelAccounting(t *testing.T) {
 	k1, k2 := NewKernel(), NewKernel()
 	for _, at := range []Time{10, 20, 30} {
@@ -418,6 +429,12 @@ func TestPerKernelAccounting(t *testing.T) {
 	if err := k2.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if c, e := k1.Account(); c != 30 || e != 3 {
+		t.Fatalf("k1 accounted (%d cycles, %d events), want (30, 3)", c, e)
+	}
+	if c, e := k2.Account(); c != 5 || e != 1 {
+		t.Fatalf("k2 accounted (%d cycles, %d events), want (5, 1)", c, e)
+	}
 	if d := TotalEvents() - events; d != 4 {
 		t.Fatalf("TotalEvents advanced by %d, want 4 (sum over kernels)", d)
 	}
@@ -425,11 +442,13 @@ func TestPerKernelAccounting(t *testing.T) {
 		t.Fatalf("TotalCycles advanced by %d, want 35 (sum over kernels)", d)
 	}
 	// Idle re-runs account nothing further.
-	if err := k1.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := k2.Run(); err != nil {
-		t.Fatal(err)
+	for _, k := range []*Kernel{k1, k2} {
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if c, e := k.Account(); c != 0 || e != 0 {
+			t.Fatalf("idle Run accounted (%d, %d), want nothing", c, e)
+		}
 	}
 	if d := TotalEvents() - events; d != 4 {
 		t.Fatalf("idle Run changed the event account to %d", d)
